@@ -48,15 +48,7 @@ DivisionResult divide(const Cover& f, const Cover& d) {
 Cube largest_common_cube(const Cover& f) {
   assert(!f.empty());
   Cube common = f.cubes()[0];
-  for (std::size_t i = 1; i < f.size(); ++i) {
-    const Cube& c = f.cubes()[i];
-    Cube next(f.nvars());
-    for (int v = 0; v < f.nvars(); ++v) {
-      if (common.has_pos(v) && c.has_pos(v)) next.add_pos(v);
-      else if (common.has_neg(v) && c.has_neg(v)) next.add_neg(v);
-    }
-    common = next;
-  }
+  for (std::size_t i = 1; i < f.size(); ++i) common.keep_common(f.cubes()[i]);
   return common;
 }
 

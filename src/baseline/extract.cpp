@@ -1,7 +1,7 @@
 #include "baseline/extract.hpp"
 
+#include <algorithm>
 #include <map>
-#include <string>
 
 #include "baseline/divide.hpp"
 #include "baseline/kernels.hpp"
@@ -11,17 +11,37 @@ namespace rmsyn {
 
 namespace {
 
-std::string canon(const Cover& c) {
-  std::vector<std::string> rows;
-  rows.reserve(c.size());
-  for (const auto& cube : c.cubes()) rows.push_back(cube.to_string());
-  std::sort(rows.begin(), rows.end());
-  std::string s;
-  for (auto& r : rows) {
-    s += r;
-    s += '|';
+// Orders cubes as their espresso strings ("1-0-") compare: at the lowest
+// variable where they differ, '-' < '0' < '1'.
+bool text_less(const Cube& a, const Cube& b) {
+  for (std::size_t w = 0; w < a.pos_mask().words(); ++w) {
+    const uint64_t ap = a.pos_mask().word(w), bp = b.pos_mask().word(w);
+    const uint64_t an = a.neg_mask().word(w), bn = b.neg_mask().word(w);
+    const uint64_t diff = (ap ^ bp) | (an ^ bn);
+    if (diff == 0) continue;
+    const uint64_t bit = diff & -diff;
+    const int ka = (ap & bit) != 0 ? 2 : (an & bit) != 0 ? 1 : 0;
+    const int kb = (bp & bit) != 0 ? 2 : (bn & bit) != 0 ? 1 : 0;
+    return ka < kb;
   }
-  return s;
+  return false;
+}
+
+// Canonical form of a kernel: its cubes in text order. Keys compare as the
+// joined, sorted cube strings would (all covers share one width).
+struct KernelKey {
+  std::vector<Cube> cubes;
+  bool operator<(const KernelKey& o) const {
+    return std::lexicographical_compare(cubes.begin(), cubes.end(),
+                                        o.cubes.begin(), o.cubes.end(),
+                                        text_less);
+  }
+};
+
+KernelKey canon(const Cover& c) {
+  KernelKey k{c.cubes()};
+  std::sort(k.cubes.begin(), k.cubes.end(), text_less);
+  return k;
 }
 
 /// Rewrites node `var` as Q·w + R where w is the new divisor variable.
@@ -49,7 +69,7 @@ int extract_kernels(SopNetwork& sn, const ExtractOptions& opt) {
       int saving = 0; ///< Σ per-instance literal savings
       int lits = 0;
     };
-    std::map<std::string, Agg> agg;
+    std::map<KernelKey, Agg> agg;
     bool budget_ok = true;
     for (const int n : sn.topo_nodes()) {
       if (opt.governor != nullptr && !opt.governor->poll()) {
@@ -104,6 +124,7 @@ int extract_cubes(SopNetwork& sn, const ExtractOptions& opt) {
     // Literal index: 2v (positive) / 2v+1 (negative).
     std::map<std::pair<int, int>, int> pair_count;
     const auto nodes = sn.topo_nodes();
+    std::vector<int> lits;
     bool budget_ok = true;
     for (const int n : nodes) {
       if (opt.governor != nullptr && !opt.governor->poll()) {
@@ -111,10 +132,14 @@ int extract_cubes(SopNetwork& sn, const ExtractOptions& opt) {
         break;
       }
       for (const auto& cube : sn.cover_of(n).cubes()) {
-        std::vector<int> lits;
-        for (int v = 0; v < cube.nvars(); ++v) {
-          if (cube.has_pos(v)) lits.push_back(2 * v);
-          else if (cube.has_neg(v)) lits.push_back(2 * v + 1);
+        lits.clear();
+        for (std::size_t w = 0; w < cube.pos_mask().words(); ++w) {
+          const uint64_t pos = cube.pos_mask().word(w);
+          for (uint64_t m = pos | cube.neg_mask().word(w); m != 0; m &= m - 1) {
+            const int b = __builtin_ctzll(m);
+            lits.push_back(2 * (static_cast<int>(w) * 64 + b) +
+                           ((pos >> b) & 1 ? 0 : 1));
+          }
         }
         for (std::size_t i = 0; i < lits.size(); ++i)
           for (std::size_t j = i + 1; j < lits.size(); ++j)

@@ -1,7 +1,5 @@
 #include "baseline/kernels.hpp"
 
-#include <functional>
-
 #include "baseline/divide.hpp"
 #include "sop/minimize.hpp"
 
@@ -10,19 +8,34 @@ namespace rmsyn {
 namespace {
 
 // Literal index space: 2*v for positive, 2*v+1 for negative.
-int literal_count_in(const Cover& f, int lit) {
-  const int v = lit / 2;
-  const bool pos = (lit % 2) == 0;
-  int n = 0;
-  for (const auto& c : f.cubes())
-    if (pos ? c.has_pos(v) : c.has_neg(v)) ++n;
-  return n;
-}
-
 Cube lit_cube(int nvars, int lit) {
   Cube c(nvars);
   if (lit % 2 == 0) c.add_pos(lit / 2); else c.add_neg(lit / 2);
   return c;
+}
+
+// Number of cubes of f containing each literal.
+std::vector<int> literal_counts(const Cover& f) {
+  std::vector<int> counts(2 * static_cast<std::size_t>(f.nvars()), 0);
+  for (const auto& c : f.cubes()) {
+    for (std::size_t w = 0; w < c.pos_mask().words(); ++w) {
+      for (uint64_t m = c.pos_mask().word(w); m != 0; m &= m - 1)
+        ++counts[2 * (w * 64 + static_cast<std::size_t>(__builtin_ctzll(m)))];
+      for (uint64_t m = c.neg_mask().word(w); m != 0; m &= m - 1)
+        ++counts[2 * (w * 64 + static_cast<std::size_t>(__builtin_ctzll(m))) + 1];
+    }
+  }
+  return counts;
+}
+
+// True when the cube has a literal on a variable below v.
+bool has_var_below(const Cube& c, int v) {
+  const auto full = static_cast<std::size_t>(v) / 64;
+  for (std::size_t w = 0; w < full; ++w)
+    if ((c.pos_mask().word(w) | c.neg_mask().word(w)) != 0) return true;
+  const uint64_t low = (uint64_t{1} << (v % 64)) - 1;
+  return low != 0 &&
+         ((c.pos_mask().word(full) | c.neg_mask().word(full)) & low) != 0;
 }
 
 void kernels_rec(const Cover& g, const Cube& co, int min_lit,
@@ -30,27 +43,37 @@ void kernels_rec(const Cover& g, const Cube& co, int min_lit,
                  bool level0_only) {
   if (out.size() >= max_kernels) return;
   const int nlits = 2 * g.nvars();
+  const std::vector<int> counts = literal_counts(g);
   bool has_sub_kernel = false;
   for (int lit = min_lit; lit < nlits; ++lit) {
-    if (literal_count_in(g, lit) < 2) continue;
-    auto [q, r] = divide_by_cube(g, lit_cube(g.nvars(), lit));
-    (void)r;
-    if (q.size() < 2) continue;
-    // Make the quotient cube-free.
-    const Cube common = largest_common_cube(q);
-    // Skip if the common cube contains a literal smaller than `lit`
-    // (that kernel is found through the smaller literal).
-    bool smaller = false;
-    for (int l2 = 0; l2 < lit; ++l2) {
-      const int v = l2 / 2;
-      if ((l2 % 2 == 0) ? common.has_pos(v) : common.has_neg(v)) {
-        smaller = true;
-        break;
-      }
+    if (counts[static_cast<std::size_t>(lit)] < 2) continue;
+    const int var = lit / 2;
+    const bool pos = lit % 2 == 0;
+    const auto has_lit = [&](const Cube& c) {
+      return pos ? c.has_pos(var) : c.has_neg(var);
+    };
+    // The quotient g / lit is made cube-free by its common cube, which is
+    // the common cube of the cubes holding `lit`, minus `lit`.
+    Cube common;
+    bool first = true;
+    for (const auto& c : g.cubes()) {
+      if (!has_lit(c)) continue;
+      if (first) common = c;
+      else common.keep_common(c);
+      first = false;
     }
-    if (smaller) continue;
-    Cover kern(q.nvars());
-    for (const auto& c : q.cubes()) kern.add(c.divide(common));
+    common.drop_var(var);
+    // Skip if the common cube contains a literal smaller than `lit` (that
+    // kernel is found through the smaller literal). The quotient has no
+    // literal on `var` itself, so only lower variables matter.
+    if (has_var_below(common, var)) continue;
+    Cover kern(g.nvars());
+    for (const auto& c : g.cubes()) {
+      if (!has_lit(c)) continue;
+      Cube k = c;
+      k.drop_var(var);
+      kern.add(k.divide(common));
+    }
     Cube new_co = co.intersect(lit_cube(g.nvars(), lit)).intersect(common);
     has_sub_kernel = true;
     kernels_rec(kern, new_co, lit + 1, out, max_kernels, level0_only);

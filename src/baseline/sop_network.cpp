@@ -39,7 +39,7 @@ SopNetwork SopNetwork::from_network(const Network& net) {
       if (f == Network::kConst0 || f == Network::kConst1) {
         // Constant node: materialize as a constant cover.
         const bool value = (f == Network::kConst1) != (t == GateType::Not);
-        var_of[n] = sn.add_node(Cover::constant(sn.num_vars(), value));
+        var_of[n] = sn.append_node(Cover::constant(sn.num_vars(), value));
         negated[n] = false;
       } else {
         var_of[n] = var_of[f];
@@ -98,7 +98,7 @@ SopNetwork SopNetwork::from_network(const Network& net) {
         throw std::logic_error("SopNetwork::from_network: bad gate");
     }
     if (complemented_out) cov = single_cube_containment(cov.complement());
-    var_of[n] = sn.add_node(std::move(cov));
+    var_of[n] = sn.append_node(std::move(cov));
     negated[n] = false;
   }
 
@@ -106,32 +106,43 @@ SopNetwork SopNetwork::from_network(const Network& net) {
     const NodeId po = net.po(i);
     int v;
     if (po == Network::kConst0 || po == Network::kConst1) {
-      v = sn.add_node(Cover::constant(sn.num_vars(), po == Network::kConst1));
+      v = sn.append_node(Cover::constant(sn.num_vars(), po == Network::kConst1));
     } else if (negated[po] || net.type(po) == GateType::Pi) {
       // POs must reference a node variable in true phase; wrap.
       Cover wrap(sn.num_vars());
       Cube cube(sn.num_vars());
       if (negated[po]) cube.add_neg(var_of[po]); else cube.add_pos(var_of[po]);
       wrap.add(std::move(cube));
-      v = sn.add_node(std::move(wrap));
+      v = sn.append_node(std::move(wrap));
     } else {
       v = var_of[po];
     }
     sn.add_po(v, net.po_name(i));
   }
+  // Nothing above mixes covers, so they are widened once, at the end.
+  sn.widen_all();
   return sn;
 }
 
 int SopNetwork::add_node(Cover cover) {
+  const int var = append_node(std::move(cover));
+  widen_all();
+  return var;
+}
+
+int SopNetwork::append_node(Cover cover) {
   const int var = num_vars();
   if (cover.nvars() < var + 1) cover.resize_vars(var + 1);
-  covers_.push_back(std::move(cover));
+  covers_.emplace_back();
+  fanins_.emplace_back();
+  store_cover(covers_.size() - 1, std::move(cover));
   dead_.push_back(false);
-  // Keep every cover in the same (widened) variable space so cover algebra
-  // across nodes never mixes widths.
+  return var;
+}
+
+void SopNetwork::widen_all() {
   for (auto& c : covers_)
     if (c.nvars() < num_vars()) c.resize_vars(num_vars());
-  return var;
 }
 
 const Cover& SopNetwork::cover_of(int var) const {
@@ -142,20 +153,20 @@ const Cover& SopNetwork::cover_of(int var) const {
 void SopNetwork::set_cover(int var, Cover cover) {
   assert(!is_pi(var));
   if (cover.nvars() < num_vars()) cover.resize_vars(num_vars());
-  covers_[static_cast<std::size_t>(var - num_pis_)] = std::move(cover);
+  store_cover(static_cast<std::size_t>(var - num_pis_), std::move(cover));
+}
+
+void SopNetwork::store_cover(std::size_t k, Cover cover) {
+  const BitVec sup = cover.support();
+  fanins_[k].clear();
+  for (std::size_t v = sup.first_set(); v != BitVec::npos; v = sup.next_set(v + 1))
+    fanins_[k].push_back(static_cast<int>(v));
+  covers_[k] = std::move(cover);
 }
 
 void SopNetwork::add_po(int var, std::string name) {
   pos_.push_back(var);
   po_names_.push_back(std::move(name));
-}
-
-std::vector<int> SopNetwork::fanins(int var) const {
-  const BitVec sup = cover_of(var).support();
-  std::vector<int> out;
-  for (std::size_t v = sup.first_set(); v != BitVec::npos; v = sup.next_set(v + 1))
-    out.push_back(static_cast<int>(v));
-  return out;
 }
 
 std::vector<int> SopNetwork::fanout_counts() const {
@@ -168,18 +179,31 @@ std::vector<int> SopNetwork::fanout_counts() const {
 }
 
 std::vector<int> SopNetwork::topo_nodes() const {
+  // Iterative post-order DFS from the POs, fanins in ascending order.
   std::vector<uint8_t> state(static_cast<std::size_t>(num_vars()), 0);
   std::vector<int> order;
-  const std::function<void(int)> visit = [&](int v) {
+  std::vector<std::pair<int, std::size_t>> stack; // (node, next fanin)
+  const auto enter = [&](int v) {
     if (is_pi(v) || state[static_cast<std::size_t>(v)] == 2) return;
     if (state[static_cast<std::size_t>(v)] == 1)
       throw std::logic_error("SopNetwork: cycle");
     state[static_cast<std::size_t>(v)] = 1;
-    for (const int f : fanins(v)) visit(f);
-    state[static_cast<std::size_t>(v)] = 2;
-    order.push_back(v);
+    stack.emplace_back(v, 0);
   };
-  for (const int po : pos_) visit(po);
+  for (const int po : pos_) {
+    enter(po);
+    while (!stack.empty()) {
+      auto& [v, next] = stack.back();
+      const auto& fi = fanins(v);
+      if (next < fi.size()) {
+        enter(fi[next++]);
+        continue;
+      }
+      state[static_cast<std::size_t>(v)] = 2;
+      order.push_back(v);
+      stack.pop_back();
+    }
+  }
   return order;
 }
 
@@ -196,11 +220,9 @@ int SopNetwork::collapse_growth(int var) const {
   if (!gbar_opt) return std::numeric_limits<int>::max();
   const Cover gbar = single_cube_containment(*gbar_opt);
   int growth = -g.literal_count();
-  for (const auto& f : covers_) {
-    bool reads = false;
-    for (const auto& cube : f.cubes())
-      if (cube.has_var(var)) { reads = true; break; }
-    if (!reads) continue;
+  for (std::size_t k = 0; k < covers_.size(); ++k) {
+    if (!reads(k, var)) continue;
+    const Cover& f = covers_[k];
     const Cover pos_part = f.cofactor(var, true);
     const Cover neg_part = f.cofactor(var, false);
     const Cover merged =
@@ -218,21 +240,18 @@ bool SopNetwork::collapse_node(int var) {
   if (!gbar_opt) return false;
   const Cover gbar = single_cube_containment(*gbar_opt);
   for (std::size_t k = 0; k < covers_.size(); ++k) {
-    Cover& f = covers_[k];
-    bool reads = false;
-    for (const auto& cube : f.cubes())
-      if (cube.has_var(var)) { reads = true; break; }
-    if (!reads) continue;
+    if (!reads(k, var)) continue;
+    const Cover& f = covers_[k];
     Cover pos_part = f.cofactor(var, true);
     Cover neg_part = f.cofactor(var, false);
     // f = v·f_v + v̄·f_v̄ with v := g.
     Cover merged = (pos_part & g) | (neg_part & gbar);
     // The cofactor parts overlap on cubes without v; (A|A) duplicates are
     // cleaned by containment.
-    covers_[k] = single_cube_containment(merged);
+    store_cover(k, single_cube_containment(merged));
   }
   // Mark as dead by emptying the cover (it is no longer referenced).
-  covers_[static_cast<std::size_t>(var - num_pis_)] = Cover(num_vars());
+  store_cover(static_cast<std::size_t>(var - num_pis_), Cover(num_vars()));
   dead_[static_cast<std::size_t>(var - num_pis_)] = true;
   return true;
 }
@@ -278,10 +297,6 @@ Network SopNetwork::to_network() const {
     net.add_po(node, po_names_[i]);
   }
   return net;
-}
-
-void SopNetwork::widen(Cover& c) const {
-  if (c.nvars() < num_vars()) c.resize_vars(num_vars());
 }
 
 } // namespace rmsyn

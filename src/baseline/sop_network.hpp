@@ -9,6 +9,8 @@
 // algebra without per-node variable remapping.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <string>
 #include <vector>
 
@@ -31,7 +33,9 @@ public:
   std::size_t node_count() const { return covers_.size(); }
 
   /// Adds an internal node with the given cover (over the current variable
-  /// space or narrower); returns its variable id.
+  /// space or narrower); returns its variable id. Every cover is then
+  /// widened to the new variable space, so cover algebra across nodes never
+  /// mixes widths.
   int add_node(Cover cover);
 
   const Cover& cover_of(int var) const;
@@ -42,8 +46,12 @@ public:
   const std::string& po_name(std::size_t i) const { return po_names_[i]; }
   void add_po(int var, std::string name);
 
-  /// Variable ids (PIs and nodes) referenced by the cover of `var`.
-  std::vector<int> fanins(int var) const;
+  /// Variable ids (PIs and nodes) referenced by the cover of `var`,
+  /// ascending. Maintained on every cover change.
+  const std::vector<int>& fanins(int var) const {
+    assert(!is_pi(var));
+    return fanins_[static_cast<std::size_t>(var - num_pis_)];
+  }
   /// Number of cover references to each variable (POs count once).
   std::vector<int> fanout_counts() const;
 
@@ -78,10 +86,19 @@ public:
   Network to_network() const;
 
 private:
-  void widen(Cover& c) const;
+  /// True when node k's cover references variable `var`.
+  bool reads(std::size_t k, int var) const {
+    return std::binary_search(fanins_[k].begin(), fanins_[k].end(), var);
+  }
+  /// Replaces node k's cover and recomputes its fanins.
+  void store_cover(std::size_t k, Cover cover);
+  /// add_node without the widening, for bulk construction.
+  int append_node(Cover cover);
+  void widen_all();
 
   int num_pis_ = 0;
   std::vector<Cover> covers_;       // per internal node
+  std::vector<std::vector<int>> fanins_; // support of each cover
   std::vector<bool> dead_;          // collapsed/unreferenced nodes
   std::vector<int> pos_;
   std::vector<std::string> po_names_;

@@ -1,8 +1,7 @@
 #include "core/xor_expr.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <functional>
-#include <numeric>
 
 namespace rmsyn {
 
@@ -20,9 +19,14 @@ LiteralContext::LiteralContext(Network& net, const std::vector<NodeId>& pi_nodes
 }
 
 NodeId LiteralContext::build_cube(const BitVec& cube) {
+  return build_cube(cube.data(), cube.words());
+}
+
+NodeId LiteralContext::build_cube(const uint64_t* cube, std::size_t stride) {
   std::vector<NodeId> leaves;
-  for (std::size_t i = cube.first_set(); i != BitVec::npos; i = cube.next_set(i + 1))
-    leaves.push_back(lit_nodes_[i]);
+  for (std::size_t w = 0; w < stride; ++w)
+    for (uint64_t m = cube[w]; m != 0; m &= m - 1)
+      leaves.push_back(lit_nodes_[w * 64 + static_cast<std::size_t>(__builtin_ctzll(m))]);
   return balanced_gate_tree(*net_, GateType::And, std::move(leaves));
 }
 
@@ -40,38 +44,50 @@ NodeId balanced_gate_tree(Network& net, GateType type, std::vector<NodeId> leave
   return leaves[0];
 }
 
-std::vector<std::vector<std::size_t>> group_by_disjoint_support(
-    const std::vector<BitVec>& cubes) {
-  // Union-find over cube indices, joined through shared variables.
-  std::vector<std::size_t> parent(cubes.size());
-  std::iota(parent.begin(), parent.end(), std::size_t{0});
-  const std::function<std::size_t(std::size_t)> find = [&](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
+std::size_t group_by_disjoint_support(const uint64_t* cubes, std::size_t count,
+                                      std::size_t stride,
+                                      std::vector<uint32_t>& group_of) {
+  assert(stride > 0);
+  const auto meets = [stride](const uint64_t* a, const uint64_t* b) {
+    for (std::size_t w = 0; w < stride; ++w)
+      if ((a[w] & b[w]) != 0) return true;
+    return false;
   };
-  if (!cubes.empty()) {
-    const std::size_t width = cubes[0].size();
-    std::vector<std::size_t> owner(width, BitVec::npos);
-    for (std::size_t i = 0; i < cubes.size(); ++i) {
-      for (std::size_t b = cubes[i].first_set(); b != BitVec::npos;
-           b = cubes[i].next_set(b + 1)) {
-        if (owner[b] == BitVec::npos) owner[b] = i;
-        else parent[find(i)] = find(owner[b]);
+  // Component supports, pairwise disjoint (so at most one per literal
+  // position): each cube absorbs every component it meets.
+  std::vector<uint64_t> comps;
+  std::vector<uint64_t> merged(stride);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::copy_n(cubes + i * stride, stride, merged.begin());
+    for (std::size_t k = 0; k < comps.size();) {
+      if (!meets(comps.data() + k, merged.data())) {
+        k += stride;
+        continue;
       }
+      for (std::size_t w = 0; w < stride; ++w) merged[w] |= comps[k + w];
+      // Swap-remove component k; the one moved into slot k is checked next.
+      std::copy_n(comps.end() - static_cast<std::ptrdiff_t>(stride), stride,
+                  comps.begin() + static_cast<std::ptrdiff_t>(k));
+      comps.resize(comps.size() - stride);
     }
+    comps.insert(comps.end(), merged.begin(), merged.end());
   }
-  std::vector<std::vector<std::size_t>> groups;
-  std::vector<std::size_t> root_to_group(cubes.size(), BitVec::npos);
-  for (std::size_t i = 0; i < cubes.size(); ++i) {
-    const std::size_t r = find(i);
-    if (root_to_group[r] == BitVec::npos) {
-      root_to_group[r] = groups.size();
-      groups.emplace_back();
+  // Number the groups by their lowest cube. The constant-1 cube (no
+  // literals) meets no component and is a group of its own.
+  const std::size_t ncomps = comps.size() / stride;
+  constexpr uint32_t kNone = UINT32_MAX;
+  std::vector<uint32_t> comp_group(ncomps, kNone);
+  uint32_t groups = 0;
+  group_of.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::size_t k = 0;
+    while (k < ncomps && !meets(comps.data() + k * stride, cubes + i * stride)) ++k;
+    if (k == ncomps) {
+      group_of[i] = groups++;
+      continue;
     }
-    groups[root_to_group[r]].push_back(i);
+    if (comp_group[k] == kNone) comp_group[k] = groups++;
+    group_of[i] = comp_group[k];
   }
   return groups;
 }

@@ -30,6 +30,8 @@ public:
   /// AND of the cube's literals as a balanced tree; the empty cube is
   /// constant 1.
   NodeId build_cube(const BitVec& cube);
+  /// Same, for a cube stored as `stride` raw mask words.
+  NodeId build_cube(const uint64_t* cube, std::size_t stride);
 
 private:
   Network* net_;
@@ -40,9 +42,13 @@ private:
 /// An empty leaf list yields the neutral element (0 for XOR/OR, 1 for AND).
 NodeId balanced_gate_tree(Network& net, GateType type, std::vector<NodeId> leaves);
 
-/// Partitions cube indices into groups whose supports are connected
-/// (step 2 of the cube method: every two groups have disjoint supports).
-std::vector<std::vector<std::size_t>> group_by_disjoint_support(
-    const std::vector<BitVec>& cubes);
+/// Partitions cubes into groups whose supports are connected (step 2 of
+/// the cube method: every two groups have disjoint supports). The `count`
+/// cubes are stored back to back, `stride` mask words each. Writes each
+/// cube's group to `group_of`, numbering groups in order of their lowest
+/// cube, and returns the number of groups.
+std::size_t group_by_disjoint_support(const uint64_t* cubes, std::size_t count,
+                                      std::size_t stride,
+                                      std::vector<uint32_t>& group_of);
 
 } // namespace rmsyn

@@ -40,7 +40,6 @@ void Network::reserve(std::size_t nodes, std::size_t edges) {
   ref_count_.reserve(nodes);
   po_refs_.reserve(nodes);
   pi_pos_.reserve(nodes);
-  names_.reserve(nodes);
   arena_.reserve(edges);
   edge_owner_.reserve(edges);
   next_out_.reserve(edges);
@@ -59,7 +58,7 @@ NodeId Network::new_node(GateType t, std::string name, bool reuse_free) {
     ref_count_[id] = 0;
     po_refs_[id] = 0;
     pi_pos_[id] = kNoNode;
-    names_[id] = std::move(name);
+    set_name(id, std::move(name));
     return id;
   }
   const NodeId id = static_cast<NodeId>(packed_.size());
@@ -70,8 +69,19 @@ NodeId Network::new_node(GateType t, std::string name, bool reuse_free) {
   ref_count_.push_back(0);
   po_refs_.push_back(0);
   pi_pos_.push_back(kNoNode);
-  names_.push_back(std::move(name));
+  set_name(id, std::move(name));
   return id;
+}
+
+const std::string& Network::name(NodeId n) const {
+  static const std::string kUnnamed;
+  const auto it = names_.find(n);
+  return it == names_.end() ? kUnnamed : it->second;
+}
+
+void Network::set_name(NodeId n, std::string name) {
+  if (name.empty()) names_.erase(n);
+  else names_[n] = std::move(name);
 }
 
 void Network::link_edge(uint32_t e) {
@@ -308,9 +318,9 @@ std::vector<NodeId> Network::compact() {
   std::vector<NodeId> remap(packed_.size(), kNoNode);
   remap[kConst0] = kConst0;
   remap[kConst1] = kConst1;
-  out.names_[kConst0] = names_[kConst0];
-  out.names_[kConst1] = names_[kConst1];
-  for (const NodeId pi : pis_) remap[pi] = out.add_pi(names_[pi]);
+  out.set_name(kConst0, name(kConst0));
+  out.set_name(kConst1, name(kConst1));
+  for (const NodeId pi : pis_) remap[pi] = out.add_pi(name(pi));
   std::vector<NodeId> fi;
   for (const NodeId n : order) {
     if (!live[n]) continue;
@@ -322,7 +332,8 @@ std::vector<NodeId> Network::compact() {
     for (uint32_t k = 0; k < fanin_cnt_[n]; ++k)
       fi.push_back(remap[arena_[off + k]]);
     remap[n] = out.add_gate(t, fi);
-    if (!names_[n].empty()) out.names_[remap[n]] = names_[n];
+    if (const auto it = names_.find(n); it != names_.end())
+      out.names_[remap[n]] = it->second;
   }
   for (std::size_t i = 0; i < pos_.size(); ++i)
     out.add_po(remap[pos_[i]], po_names_[i]);

@@ -29,6 +29,7 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace rmsyn {
@@ -176,8 +177,10 @@ public:
   std::size_t fanin_count(NodeId n) const { return fanin_cnt_[n]; }
   NodeId fanin(NodeId n, std::size_t k) const { return arena_[fanin_off_[n] + k]; }
 
-  const std::string& name(NodeId n) const { return names_[n]; }
-  void set_name(NodeId n, std::string name) { names_[n] = std::move(name); }
+  /// Node names are stored sparsely: in practice only PIs and the two
+  /// constants carry one. Unnamed nodes return the empty string.
+  const std::string& name(NodeId n) const;
+  void set_name(NodeId n, std::string name);
 
   const std::vector<NodeId>& pis() const { return pis_; }
   const std::vector<NodeId>& pos() const { return pos_; }
@@ -329,7 +332,7 @@ private:
   std::vector<uint32_t> ref_count_; ///< maintained fanin-edge references
   std::vector<uint32_t> po_refs_;   ///< maintained PO references
   std::vector<uint32_t> pi_pos_;    ///< PI ordinal (kNoNode for non-PIs)
-  std::vector<std::string> names_;
+  std::unordered_map<NodeId, std::string> names_; ///< non-empty names only
 
   // ---- per-edge columns (flat fanin arena) ----
   std::vector<NodeId> arena_;       ///< fanin targets

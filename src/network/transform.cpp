@@ -14,7 +14,8 @@ namespace {
 /// normalized to {Not, And, Or, Xor} over already-simplified fanins.
 class Builder {
 public:
-  explicit Builder(const Network& src) : src_(src) {
+  explicit Builder(const Network& src)
+      : src_(src), map_(src.node_count(), Network::kNoNode) {
     for (std::size_t i = 0; i < src.pi_count(); ++i) {
       const NodeId pi = out_.add_pi(src.name(src.pis()[i]));
       map_[src.pis()[i]] = pi;
@@ -23,7 +24,10 @@ public:
     map_[Network::kConst1] = Network::kConst1;
   }
 
-  NodeId mapped(NodeId old) const { return map_.at(old); }
+  NodeId mapped(NodeId old) const {
+    assert(map_[old] != Network::kNoNode);
+    return map_[old];
+  }
   void set_mapped(NodeId old, NodeId nu) { map_[old] = nu; }
 
   NodeId mk_not(NodeId a) {
@@ -122,7 +126,7 @@ private:
 
   const Network& src_;
   Network out_;
-  std::map<NodeId, NodeId> map_;
+  std::vector<NodeId> map_; ///< source node -> built node (dense)
   std::map<std::pair<GateType, std::vector<NodeId>>, NodeId> hash_;
 };
 

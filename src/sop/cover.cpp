@@ -86,9 +86,11 @@ int most_binate_var(const Cover& f) {
   std::vector<int> pos_cnt(static_cast<std::size_t>(n), 0);
   std::vector<int> neg_cnt(static_cast<std::size_t>(n), 0);
   for (const auto& c : f.cubes()) {
-    for (int v = 0; v < n; ++v) {
-      if (c.has_pos(v)) ++pos_cnt[static_cast<std::size_t>(v)];
-      else if (c.has_neg(v)) ++neg_cnt[static_cast<std::size_t>(v)];
+    for (std::size_t w = 0; w < c.pos_mask().words(); ++w) {
+      for (uint64_t m = c.pos_mask().word(w); m != 0; m &= m - 1)
+        ++pos_cnt[w * 64 + static_cast<std::size_t>(__builtin_ctzll(m))];
+      for (uint64_t m = c.neg_mask().word(w); m != 0; m &= m - 1)
+        ++neg_cnt[w * 64 + static_cast<std::size_t>(__builtin_ctzll(m))];
     }
   }
   int best = -1, best_score = -1;
@@ -105,9 +107,10 @@ int most_binate_var(const Cover& f) {
 // Any variable with a literal (used for complementing unate covers).
 int any_var(const Cover& f) {
   for (const auto& c : f.cubes()) {
-    const auto sup = c.support();
-    const auto v = sup.first_set();
-    if (v != BitVec::npos) return static_cast<int>(v);
+    for (std::size_t w = 0; w < c.pos_mask().words(); ++w) {
+      const uint64_t m = c.pos_mask().word(w) | c.neg_mask().word(w);
+      if (m != 0) return static_cast<int>(w * 64) + __builtin_ctzll(m);
+    }
   }
   return -1;
 }
@@ -138,8 +141,10 @@ Cover complement_rec(const Cover& f, long& budget) {
     Cover r(n);
     const Cube& c = f.cubes()[0];
     for (int v = 0; v < n; ++v) {
-      if (c.has_pos(v)) r.add(Cube::parse(std::string(static_cast<std::size_t>(v), '-') + "0" + std::string(static_cast<std::size_t>(n - v - 1), '-')));
-      else if (c.has_neg(v)) r.add(Cube::parse(std::string(static_cast<std::size_t>(v), '-') + "1" + std::string(static_cast<std::size_t>(n - v - 1), '-')));
+      if (!c.has_var(v)) continue;
+      Cube lit(n);
+      if (c.has_pos(v)) lit.add_neg(v); else lit.add_pos(v);
+      r.add(std::move(lit));
     }
     return r;
   }
@@ -197,7 +202,9 @@ bool Cover::covers_cube(const Cube& c) const {
 
 BitVec Cover::support() const {
   BitVec s(static_cast<std::size_t>(nvars_));
-  for (const auto& c : cubes_) s |= c.support();
+  for (const auto& c : cubes_)
+    for (std::size_t w = 0; w < s.words(); ++w)
+      s.word(w) |= c.pos_mask().word(w) | c.neg_mask().word(w);
   return s;
 }
 

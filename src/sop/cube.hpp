@@ -35,6 +35,8 @@ public:
   void add_pos(int v) { pos_.set(v); neg_.set(v, false); }
   void add_neg(int v) { neg_.set(v); pos_.set(v, false); }
   void drop_var(int v) { pos_.set(v, false); neg_.set(v, false); }
+  /// Keeps only the literals `other` also has (the common cube).
+  void keep_common(const Cube& other) { pos_ &= other.pos_; neg_ &= other.neg_; }
 
   /// Number of literals in the cube.
   int literal_count() const { return static_cast<int>(pos_.count() + neg_.count()); }

@@ -4,56 +4,133 @@
 
 namespace rmsyn {
 
-Cover single_cube_containment(const Cover& f) {
-  const auto& cs = f.cubes();
-  std::vector<bool> dead(cs.size(), false);
-  for (std::size_t i = 0; i < cs.size(); ++i) {
-    if (dead[i]) continue;
-    for (std::size_t j = 0; j < cs.size(); ++j) {
-      if (i == j || dead[j]) continue;
-      if (cs[i].covers(cs[j])) {
-        // cs[j] is inside cs[i]; drop j. Identical cubes: keep lower index.
-        if (cs[j].covers(cs[i]) && j < i) continue;
-        dead[j] = true;
-      }
-    }
+namespace {
+
+// Monotone literal signature: folds the positive mask into the low half and
+// the negative mask into the high half with OR only, so a cube covering
+// another has a signature that is a subset of the other's. (A mixing hash
+// would not be monotone and would hide containments.)
+uint64_t literal_signature(const Cube& c) {
+  const auto fold = [](uint64_t w) { return (w | (w >> 32)) & 0xFFFFFFFFull; };
+  uint64_t s = 0;
+  for (std::size_t w = 0; w < c.pos_mask().words(); ++w)
+    s |= fold(c.pos_mask().word(w)) | (fold(c.neg_mask().word(w)) << 32);
+  return s;
+}
+
+// The variable in which a and b hold opposite literals when they agree
+// everywhere else (a·x + a·x̄ = a), or -1.
+int merge_var(const Cube& a, const Cube& b) {
+  int var = -1;
+  for (std::size_t w = 0; w < a.pos_mask().words(); ++w) {
+    const uint64_t dp = a.pos_mask().word(w) ^ b.pos_mask().word(w);
+    const uint64_t dn = a.neg_mask().word(w) ^ b.neg_mask().word(w);
+    if (dp != dn) return -1;
+    if (dp == 0) continue;
+    if (var >= 0 || (dp & (dp - 1)) != 0) return -1;
+    var = static_cast<int>(w * 64) + __builtin_ctzll(dp);
   }
+  return var;
+}
+
+Cover keep_live(const Cover& f, const std::vector<char>& live) {
   Cover r(f.nvars());
-  for (std::size_t i = 0; i < cs.size(); ++i)
-    if (!dead[i]) r.add(cs[i]);
+  for (std::size_t i = 0; i < f.size(); ++i)
+    if (live[i]) r.add(f.cubes()[i]);
   return r;
 }
 
+} // namespace
+
+Cover single_cube_containment(const Cover& f) {
+  // Keeps cube j iff it is the first occurrence of its value and no cube
+  // strictly covers it. A strict cover has strictly fewer literals, so each
+  // cube is tested only against kept cubes of smaller literal count.
+  const auto& cs = f.cubes();
+  const std::size_t n = cs.size();
+  std::vector<char> live(n, 1);
+  std::size_t slots = 1;
+  while (slots < 2 * n) slots <<= 1;
+  std::vector<uint32_t> table(slots, UINT32_MAX);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t h = cs[i].hash() & (slots - 1);
+    for (; table[h] != UINT32_MAX; h = (h + 1) & (slots - 1))
+      if (cs[table[h]] == cs[i]) { live[i] = 0; break; }
+    if (live[i]) table[h] = static_cast<uint32_t>(i);
+  }
+
+  struct Entry { int lits; uint64_t sig; uint32_t idx; };
+  std::vector<Entry> order;
+  order.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    if (live[i])
+      order.push_back({cs[i].literal_count(), literal_signature(cs[i]),
+                       static_cast<uint32_t>(i)});
+  std::sort(order.begin(), order.end(),
+            [](const Entry& a, const Entry& b) { return a.lits < b.lits; });
+  std::size_t kept = 0; // order[0..kept) are the survivors so far
+  for (const Entry& e : order) {
+    bool covered = false;
+    for (std::size_t k = 0; k < kept && order[k].lits < e.lits; ++k) {
+      if ((order[k].sig & ~e.sig) != 0) continue;
+      if (cs[order[k].idx].covers(cs[e.idx])) { covered = true; break; }
+    }
+    if (covered) live[e.idx] = 0;
+    else order[kept++] = e;
+  }
+  return keep_live(f, live);
+}
+
 Cover merge_distance_one(const Cover& f) {
+  // Merges the lexicographically first mergeable pair (i, j) into slot i,
+  // drops j and every cube the merged cube covers, and repeats. Rows below
+  // the cursor stay merge-free, so after a merge only the merged cube needs
+  // re-checking: first against earlier rows (those pairs come first), then
+  // along its own row.
   Cover cur = single_cube_containment(f);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    auto& cs = cur.cubes();
-    for (std::size_t i = 0; i < cs.size() && !changed; ++i) {
-      for (std::size_t j = i + 1; j < cs.size() && !changed; ++j) {
-        if (cs[i].distance(cs[j]) != 1) continue;
-        // Find the clashing variable; merge when the rest is identical.
-        Cube a = cs[i], b = cs[j];
-        int clash_var = -1;
-        for (int v = 0; v < cur.nvars(); ++v) {
-          if ((a.has_pos(v) && b.has_neg(v)) || (a.has_neg(v) && b.has_pos(v))) {
-            clash_var = v;
-            break;
-          }
-        }
-        a.drop_var(clash_var);
-        b.drop_var(clash_var);
-        if (a == b) {
-          cs[i] = a;
-          cs.erase(cs.begin() + static_cast<std::ptrdiff_t>(j));
-          changed = true;
-        }
+  auto& cs = cur.cubes();
+  const std::size_t n = cs.size();
+  std::vector<char> live(n, 1);
+  std::vector<int> lits(n);
+  for (std::size_t i = 0; i < n; ++i) lits[i] = cs[i].literal_count();
+
+  // Merges b into a. The cover was containment-free, so nothing covers
+  // the merged cube and the only new containments are the cubes it covers:
+  // dropping those is what a full SCC pass would do.
+  const auto merge = [&](std::size_t a, std::size_t b, int var) {
+    cs[a].drop_var(var);
+    --lits[a];
+    live[b] = 0;
+    for (std::size_t k = 0; k < n; ++k)
+      if (live[k] && k != a && lits[k] > lits[a] && cs[a].covers(cs[k]))
+        live[k] = 0;
+  };
+  const auto first_partner = [&](std::size_t p, std::size_t from,
+                                 std::size_t to, int& var) {
+    for (std::size_t j = from; j < to; ++j) {
+      if (!live[j] || lits[j] != lits[p]) continue;
+      if ((var = merge_var(cs[p], cs[j])) >= 0) return j;
+    }
+    return to;
+  };
+
+  for (std::size_t row = 0; row < n; ++row) {
+    if (!live[row]) continue;
+    std::size_t p = row;
+    for (;;) {
+      int var = -1;
+      const std::size_t j = first_partner(p, p + 1, n, var);
+      if (j == n) break;
+      merge(p, j, var);
+      for (;;) {
+        const std::size_t a = first_partner(p, 0, p, var);
+        if (a == p) break;
+        merge(a, p, var);
+        p = a;
       }
     }
-    if (changed) cur = single_cube_containment(cur);
   }
-  return cur;
+  return keep_live(cur, live);
 }
 
 Cover irredundant(const Cover& f) {
