@@ -14,20 +14,6 @@
 
 namespace rmsyn {
 
-void BddStats::accumulate(const BddStats& o) {
-  unique_lookups += o.unique_lookups;
-  unique_hits += o.unique_hits;
-  cache_lookups += o.cache_lookups;
-  cache_hits += o.cache_hits;
-  cache_inserts += o.cache_inserts;
-  gc_runs += o.gc_runs;
-  nodes_freed += o.nodes_freed;
-  reorder_runs += o.reorder_runs;
-  reorder_swaps += o.reorder_swaps;
-  live_nodes += o.live_nodes;
-  peak_live_nodes = std::max(peak_live_nodes, o.peak_live_nodes);
-}
-
 BddManager::BddManager(int nvars, int cache_bits)
     : nvars_(nvars),
       cache_(std::size_t{1} << cache_bits),

@@ -47,6 +47,7 @@
 
 #include "sop/cover.hpp"
 #include "util/governor.hpp"
+#include "util/stat_fields.hpp"
 
 namespace rmsyn {
 
@@ -77,7 +78,23 @@ struct BddStats {
   }
   /// Accumulates another manager's counters (peak/live take the max/sum
   /// convention useful for multi-manager flows).
-  void accumulate(const BddStats& o);
+  void accumulate(const BddStats& o) { stat_fields::accumulate(*this, o); }
+
+  /// Field table (util/stat_fields.hpp); exported as the dd.* metrics.
+  template <class V>
+  static void fields(V&& v) {
+    v("unique_lookups", &BddStats::unique_lookups, StatKind::Counter);
+    v("unique_hits", &BddStats::unique_hits, StatKind::Counter);
+    v("cache_lookups", &BddStats::cache_lookups, StatKind::Counter);
+    v("cache_hits", &BddStats::cache_hits, StatKind::Counter);
+    v("cache_inserts", &BddStats::cache_inserts, StatKind::Counter);
+    v("gc_runs", &BddStats::gc_runs, StatKind::Counter);
+    v("nodes_freed", &BddStats::nodes_freed, StatKind::Counter);
+    v("reorder_runs", &BddStats::reorder_runs, StatKind::Counter);
+    v("reorder_swaps", &BddStats::reorder_swaps, StatKind::Counter);
+    v("live_nodes", &BddStats::live_nodes, StatKind::Internal);
+    v("peak_live_nodes", &BddStats::peak_live_nodes, StatKind::Peak);
+  }
 };
 
 class BddManager {

@@ -223,16 +223,18 @@ std::string format_table2(const std::vector<FlowRow>& rows) {
 
 std::string format_dd_kernel_summary(const std::vector<FlowRow>& rows) {
   obs::MetricsRegistry m;
-  for (const FlowRow& r : rows) m.absorb_bdd(r.bdd);
+  for (const FlowRow& r : rows) stat_fields::absorb(m, "dd.", r.bdd);
   return obs::format_metrics_summary(m);
 }
 
 obs::MetricsRegistry collect_flow_metrics(const std::vector<FlowRow>& rows) {
   obs::MetricsRegistry m;
   for (const FlowRow& r : rows) {
-    m.absorb_bdd(r.bdd);
-    m.absorb_sim(r.sim);
-    m.absorb_rewrite(r.rewrite);
+    stat_fields::absorb(m, "dd.", r.bdd);
+    // Rows that never simulated or rewrote anything grow no sim.* or
+    // rewrite.* entries.
+    if (!r.sim.empty()) stat_fields::absorb(m, "sim.", r.sim);
+    if (!r.rewrite.empty()) stat_fields::absorb(m, "rewrite.", r.rewrite);
     m.absorb_status(r.worst_status());
     m.absorb_stages(r.stages);
     m.add("flow.governor_polls", r.ours_polls + r.base_polls);
@@ -289,22 +291,8 @@ obs::Json flow_row_json(const FlowRow& row) {
   j["ladder_descents"] = row.ladder_descents;
   j["attempts"] = row.attempts;
   j["row_seconds"] = row.row_seconds;
-  if (!row.rewrite.empty()) {
-    obs::Json rw = obs::Json::object();
-    rw["passes"] = row.rewrite.passes;
-    rw["roots"] = row.rewrite.roots;
-    rw["cuts_enumerated"] = row.rewrite.cuts_enumerated;
-    rw["db_hits"] = row.rewrite.db_hits;
-    rw["candidates"] = row.rewrite.candidates;
-    rw["stale_skips"] = row.rewrite.stale_skips;
-    rw["replacements"] = row.rewrite.replacements;
-    rw["sim_rejects"] = row.rewrite.sim_rejects;
-    rw["bdd_rejects"] = row.rewrite.bdd_rejects;
-    rw["lits_before"] = row.rewrite.lits_before;
-    rw["lits_after"] = row.rewrite.lits_after;
-    rw["gain_lits"] = row.rewrite.gain_lits;
-    j["rewrite"] = std::move(rw);
-  }
+  if (!row.rewrite.empty())
+    j["rewrite"] = stat_fields::to_json<obs::Json>(row.rewrite);
   obs::Json stages = obs::Json::array();
   for (const StageBreakdown::Entry& e : row.stages.entries) {
     obs::Json st = obs::Json::object();
@@ -378,26 +366,8 @@ FlowRow flow_row_from_json(const obs::Json& j) {
     if (st.contains("base"))
       row.base_status = status_from_json(st.get("base"), "status.base");
   }
-  if (j.contains("rewrite") && j.get("rewrite").is_object()) {
-    const obs::Json& rw = j.get("rewrite");
-    const auto rcount = [&](const char* key) -> uint64_t {
-      if (!rw.contains(key) || !rw.get(key).is_number()) return 0;
-      const double v = rw.get(key).as_number();
-      return v <= 0.0 ? 0 : static_cast<uint64_t>(v);
-    };
-    row.rewrite.passes = rcount("passes");
-    row.rewrite.roots = rcount("roots");
-    row.rewrite.cuts_enumerated = rcount("cuts_enumerated");
-    row.rewrite.db_hits = rcount("db_hits");
-    row.rewrite.candidates = rcount("candidates");
-    row.rewrite.stale_skips = rcount("stale_skips");
-    row.rewrite.replacements = rcount("replacements");
-    row.rewrite.sim_rejects = rcount("sim_rejects");
-    row.rewrite.bdd_rejects = rcount("bdd_rejects");
-    row.rewrite.lits_before = rcount("lits_before");
-    row.rewrite.lits_after = rcount("lits_after");
-    row.rewrite.gain_lits = rcount("gain_lits");
-  }
+  if (j.contains("rewrite") && j.get("rewrite").is_object())
+    stat_fields::from_json(j.get("rewrite"), row.rewrite);
   row.ours_polls = static_cast<uint64_t>(num("governor_polls"));
   row.ladder_descents = count("ladder_descents");
   row.attempts = j.contains("attempts")

@@ -26,8 +26,7 @@ namespace {
 
 /// Evaluates every gate's value words in range [w0, w1) in topological
 /// order. Word-local, so disjoint ranges can run concurrently over the
-/// same row storage. Complemented gates leave tail garbage in the last
-/// word; the caller masks all rows afterwards.
+/// same row storage.
 void simulate_range(const Network& net, const std::vector<NodeId>& order,
                     std::vector<BitVec>& value, std::size_t w0,
                     std::size_t w1) {
@@ -53,6 +52,33 @@ void simulate_range(const Network& net, const std::vector<NodeId>& order,
 
 } // namespace
 
+void simulate_words(const Network& net, const std::vector<NodeId>& order,
+                    std::vector<BitVec>& value, ThreadPool* pool) {
+  const std::size_t nw = value[Network::kConst0].words();
+  // Sharding only pays once each shard has a few SIMD blocks of work.
+  constexpr std::size_t kMinWordsPerShard = 8;
+  std::size_t nshards = 1;
+  if (pool != nullptr && pool->worker_count() > 0)
+    nshards = std::min<std::size_t>(static_cast<std::size_t>(pool->slot_count()),
+                                    nw / kMinWordsPerShard);
+
+  if (nshards <= 1) {
+    simulate_range(net, order, value, 0, nw);
+    return;
+  }
+  std::vector<Future<bool>> futs;
+  futs.reserve(nshards);
+  for (std::size_t s = 0; s < nshards; ++s) {
+    const std::size_t w0 = s * nw / nshards;
+    const std::size_t w1 = (s + 1) * nw / nshards;
+    futs.push_back(pool->submit([&net, &order, &value, w0, w1] {
+      simulate_range(net, order, value, w0, w1);
+      return true;
+    }));
+  }
+  for (auto& fut : futs) pool->wait(fut);
+}
+
 std::vector<BitVec> simulate(const Network& net, const PatternSet& patterns,
                              ThreadPool* pool) {
   assert(patterns.bits.size() == net.pi_count());
@@ -65,29 +91,7 @@ std::vector<BitVec> simulate(const Network& net, const PatternSet& patterns,
   // topo_order() re-runs a full DFS per call — hoist the one copy every
   // shard (and the tail sweep) iterates.
   const std::vector<NodeId> order = net.topo_order();
-
-  const std::size_t nw = (np + 63) / 64;
-  // Sharding only pays once each shard has a few SIMD blocks of work.
-  constexpr std::size_t kMinWordsPerShard = 8;
-  std::size_t nshards = 1;
-  if (pool != nullptr && pool->worker_count() > 0)
-    nshards = std::min<std::size_t>(static_cast<std::size_t>(pool->slot_count()),
-                                    nw / kMinWordsPerShard);
-
-  if (nshards <= 1) {
-    simulate_range(net, order, value, 0, nw);
-  } else {
-    std::vector<Future<bool>> futs;
-    for (std::size_t s = 0; s < nshards; ++s) {
-      const std::size_t w0 = s * nw / nshards;
-      const std::size_t w1 = (s + 1) * nw / nshards;
-      futs.push_back(pool->submit([&net, &order, &value, w0, w1] {
-        simulate_range(net, order, value, w0, w1);
-        return true;
-      }));
-    }
-    for (auto& fut : futs) pool->wait(fut);
-  }
+  simulate_words(net, order, value, pool);
 
   // Complemented gates set the unused tail bits of the final word;
   // restore the BitVec tail invariant on every computed row.

@@ -37,6 +37,15 @@ class ThreadPool;
 std::vector<BitVec> simulate(const Network& net, const PatternSet& patterns,
                              ThreadPool* pool = nullptr);
 
+/// The one full-pass kernel behind simulate() and SimState: evaluates
+/// every gate of `order` (a topological order of `net`) into its
+/// pre-sized row of `value`, whose PI and constant rows must already hold
+/// their values. With a pool the words are sharded as simulate() describes.
+/// Complemented gates leave garbage in the unused tail bits of the last
+/// word; the caller masks the rows it computed.
+void simulate_words(const Network& net, const std::vector<NodeId>& order,
+                    std::vector<BitVec>& value, ThreadPool* pool);
+
 /// Simulates `count` uniformly random patterns (seeded).
 PatternSet random_patterns(std::size_t num_pis, std::size_t count, uint64_t seed);
 

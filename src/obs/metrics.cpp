@@ -5,13 +5,10 @@
 #include <cstdio>
 #include <limits>
 
-// Struct definitions only: the absorbers read plain fields (and inline
-// members), so rmsyn_obs needs no link-time dependency on the bdd/sched
-// libraries — the dependency arrow stays obs <- {bdd, sched, flow}.
-#include "bdd/bdd.hpp"
-#include "rewrite/rewrite.hpp"
+// Struct definition only: absorb_sched reads plain fields, so rmsyn_obs
+// needs no link-time dependency on the sched library — the dependency
+// arrow stays obs <- {sched, flow}.
 #include "sched/pool.hpp"
-#include "sim/sim.hpp"
 
 namespace rmsyn::obs {
 
@@ -243,88 +240,24 @@ std::vector<MetricsRegistry::Entry> MetricsRegistry::snapshot() const {
 
 // --- absorbers ---------------------------------------------------------------
 
-void MetricsRegistry::absorb_bdd(const BddStats& s) {
-  add("dd.unique_lookups", s.unique_lookups);
-  add("dd.unique_hits", s.unique_hits);
-  add("dd.cache_lookups", s.cache_lookups);
-  add("dd.cache_hits", s.cache_hits);
-  add("dd.cache_inserts", s.cache_inserts);
-  add("dd.gc_runs", s.gc_runs);
-  add("dd.nodes_freed", s.nodes_freed);
-  add("dd.reorder_runs", s.reorder_runs);
-  add("dd.reorder_swaps", s.reorder_swaps);
-  set_max("dd.peak_live_nodes", static_cast<double>(s.peak_live_nodes));
-}
-
 void MetricsRegistry::absorb_sched(const SchedStats& s) {
   if (s.per_worker.empty()) return;
   set_max("sched.workers", static_cast<double>(s.workers));
   char name[64];
   for (std::size_t i = 0; i < s.per_worker.size(); ++i) {
     const WorkerStats& w = s.per_worker[i];
-    add("sched.tasks", w.tasks_run);
-    add("sched.steals", w.steals);
-    add("sched.tasks_stolen", w.tasks_stolen);
-    add("sched.steal_attempts", w.steal_attempts);
-    observe("sched.busy_seconds", w.busy_seconds);
-    observe("sched.idle_seconds", w.idle_seconds);
-    set_max("sched.peak_queue_depth", static_cast<double>(w.peak_queue_depth));
+    stat_fields::absorb(*this, "sched.", w);
     if (w.tasks_run == 0 && w.steal_attempts == 0) continue;
     // Per-slot detail; the last slot is the external helper (the thread
     // that called wait() and worked the queue), as in sched/pool.hpp.
     const bool external = i + 1 == s.per_worker.size() &&
                           static_cast<int>(i) == s.workers;
     if (external)
-      std::snprintf(name, sizeof name, "sched.ext");
+      std::snprintf(name, sizeof name, "sched.ext.");
     else
-      std::snprintf(name, sizeof name, "sched.w%zu", i);
-    const std::string slot(name);
-    add(slot + ".tasks", w.tasks_run);
-    add(slot + ".steals", w.steals);
-    add(slot + ".tasks_stolen", w.tasks_stolen);
-    add(slot + ".steal_attempts", w.steal_attempts);
-    observe(slot + ".busy_seconds", w.busy_seconds);
-    observe(slot + ".idle_seconds", w.idle_seconds);
-    set_max(slot + ".peak_queue_depth",
-            static_cast<double>(w.peak_queue_depth));
+      std::snprintf(name, sizeof name, "sched.w%zu.", i);
+    stat_fields::absorb(*this, name, w);
   }
-}
-
-void MetricsRegistry::absorb_sim(const SimStats& s) {
-  if (s.empty()) return;
-  add("sim.full_passes", s.full_passes);
-  add("sim.incr_resims", s.incr_resims);
-  add("sim.events", s.events);
-  add("sim.events_died", s.events_died);
-  add("sim.fault_probes", s.fault_probes);
-  add("sim.cone_nodes", s.cone_nodes);
-  add("sim.faults_dropped", s.faults_dropped);
-  add("sim.blocks_skipped", s.blocks_skipped);
-  add("sim.value_reuses", s.value_reuses);
-  add("sim.simd_blocks", s.simd_blocks);
-  if (s.patterns_per_second() > 0.0)
-    set_max("sim.patterns_per_second", s.patterns_per_second());
-  if (s.simd_dispatch != nullptr)
-    set_text("sim.simd_dispatch", s.simd_dispatch);
-}
-
-void MetricsRegistry::absorb_rewrite(const rw::RewriteStats& s) {
-  if (s.empty()) return;
-  add("rewrite.passes", s.passes);
-  add("rewrite.roots", s.roots);
-  add("rewrite.cuts_enumerated", s.cuts_enumerated);
-  add("rewrite.db_hits", s.db_hits);
-  add("rewrite.candidates", s.candidates);
-  add("rewrite.stale_skips", s.stale_skips);
-  add("rewrite.replacements", s.replacements);
-  add("rewrite.sim_rejects", s.sim_rejects);
-  add("rewrite.bdd_rejects", s.bdd_rejects);
-  add("rewrite.lits_before", s.lits_before);
-  add("rewrite.lits_after", s.lits_after);
-  add("rewrite.gain_lits", s.gain_lits);
-  if (s.cuts_seconds > 0.0) observe("rewrite.cuts_seconds", s.cuts_seconds);
-  if (s.eval_seconds > 0.0) observe("rewrite.eval_seconds", s.eval_seconds);
-  if (s.apply_seconds > 0.0) observe("rewrite.apply_seconds", s.apply_seconds);
 }
 
 void MetricsRegistry::absorb_status(const FlowStatus& st) {

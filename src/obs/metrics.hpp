@@ -6,7 +6,8 @@
 // its own struct AND its own hand-rolled printer. The registry unifies
 // them: named counters / gauges / histograms under dotted names
 // ("dd.cache_lookups", "sched.w0.tasks", "stage.polarity-search.seconds"),
-// one absorber per legacy stat block, and ONE formatter —
+// one absorber driven by each stat struct's field table, and ONE
+// formatter —
 // format_metrics_summary() — that renders every summary block the CLI and
 // benches print. format_dd_kernel_summary / format_sched_summary are now
 // thin wrappers over it, and the run report serializes the same snapshot
@@ -39,12 +40,7 @@
 
 namespace rmsyn {
 
-struct BddStats;  // bdd/bdd.hpp
 struct SchedStats; // sched/pool.hpp
-struct SimStats;  // sim/sim.hpp
-namespace rw {
-struct RewriteStats; // rewrite/rewrite.hpp
-}
 
 namespace obs {
 
@@ -144,14 +140,12 @@ public:
   /// Name-sorted copy of every metric (stable serialization order).
   std::vector<Entry> snapshot() const;
 
-  // --- absorbers for the pre-existing ad-hoc stat blocks -------------------
-  void absorb_bdd(const BddStats& s);
+  // --- absorbers ------------------------------------------------------------
+  // Stats structs with a field table go through stat_fields::absorb(
+  // registry, prefix, stats) (util/stat_fields.hpp); these cover the rest.
+  /// Pool totals under sched.* from every slot, plus per-slot
+  /// sched.w<i>.* / sched.ext.* for slots that ran or probed for work.
   void absorb_sched(const SchedStats& s);
-  /// No-op for an all-zero block, so rows that never simulated anything
-  /// do not grow spurious sim.* entries.
-  void absorb_sim(const SimStats& s);
-  /// Cut-rewriting counters under rewrite.*; no-op for an all-zero block.
-  void absorb_rewrite(const rw::RewriteStats& s);
   /// Row outcome (`flow.ok/degraded/failed`) under the given flow prefix.
   void absorb_status(const FlowStatus& st);
   /// Per-stage histograms: stage.<name> gets (seconds, calls).

@@ -10,8 +10,8 @@
 //
 // ScopedStage is the one RAII marker the flow layers use. It fuses the
 // three per-stage concerns that previously needed separate scopes:
-//   1. governor stage tracking (fault injection + trip attribution) —
-//      exactly ResourceGovernor::StageScope, null-governor safe;
+//   1. governor stage tracking (fault injection + trip attribution) via
+//      ResourceGovernor::begin_stage/end_stage, null-governor safe;
 //   2. a tracer span (obs/trace.hpp) under the same name;
 //   3. wall-clock accumulation into the owning report's StageBreakdown,
 //      plus a ProgressBoard update for the heartbeat when one is running.

@@ -22,6 +22,8 @@
 #include <cstdint>
 #include <string>
 
+#include "util/stat_fields.hpp"
+
 namespace rmsyn {
 
 class Network;
@@ -48,9 +50,8 @@ struct RewriteOptions {
   ResourceGovernor* governor = nullptr;
 };
 
-/// Counters surfaced as the rewrite.* metrics group on SynthReport/FlowRow.
-/// Inline accumulate/empty so rmsyn_obs and rmsyn_flow can absorb the
-/// struct header-only (the same deal BddStats/SimStats get).
+/// Counters surfaced as the rewrite.* metrics group on SynthReport/FlowRow;
+/// the Counter fields also travel in the row JSON.
 struct RewriteStats {
   uint64_t passes = 0;
   uint64_t roots = 0;            ///< candidate root nodes considered
@@ -68,28 +69,27 @@ struct RewriteStats {
   double eval_seconds = 0.0;     ///< phase B wall time (parallel evaluation)
   double apply_seconds = 0.0;    ///< phase C wall time (verify-then-commit)
 
-  void accumulate(const RewriteStats& o) {
-    passes += o.passes;
-    roots += o.roots;
-    cuts_enumerated += o.cuts_enumerated;
-    db_hits += o.db_hits;
-    candidates += o.candidates;
-    stale_skips += o.stale_skips;
-    replacements += o.replacements;
-    sim_rejects += o.sim_rejects;
-    bdd_rejects += o.bdd_rejects;
-    lits_before += o.lits_before;
-    lits_after += o.lits_after;
-    gain_lits += o.gain_lits;
-    cuts_seconds += o.cuts_seconds;
-    eval_seconds += o.eval_seconds;
-    apply_seconds += o.apply_seconds;
-  }
-  bool empty() const {
-    return passes == 0 && roots == 0 && cuts_enumerated == 0 && db_hits == 0 &&
-           candidates == 0 && stale_skips == 0 && replacements == 0 &&
-           sim_rejects == 0 && bdd_rejects == 0 && lits_before == 0 &&
-           lits_after == 0 && gain_lits == 0;
+  void accumulate(const RewriteStats& o) { stat_fields::accumulate(*this, o); }
+  bool empty() const { return stat_fields::empty(*this); }
+
+  /// Field table (util/stat_fields.hpp).
+  template <class V>
+  static void fields(V&& v) {
+    v("passes", &RewriteStats::passes, StatKind::Counter);
+    v("roots", &RewriteStats::roots, StatKind::Counter);
+    v("cuts_enumerated", &RewriteStats::cuts_enumerated, StatKind::Counter);
+    v("db_hits", &RewriteStats::db_hits, StatKind::Counter);
+    v("candidates", &RewriteStats::candidates, StatKind::Counter);
+    v("stale_skips", &RewriteStats::stale_skips, StatKind::Counter);
+    v("replacements", &RewriteStats::replacements, StatKind::Counter);
+    v("sim_rejects", &RewriteStats::sim_rejects, StatKind::Counter);
+    v("bdd_rejects", &RewriteStats::bdd_rejects, StatKind::Counter);
+    v("lits_before", &RewriteStats::lits_before, StatKind::Counter);
+    v("lits_after", &RewriteStats::lits_after, StatKind::Counter);
+    v("gain_lits", &RewriteStats::gain_lits, StatKind::Counter);
+    v("cuts_seconds", &RewriteStats::cuts_seconds, StatKind::PhaseSeconds);
+    v("eval_seconds", &RewriteStats::eval_seconds, StatKind::PhaseSeconds);
+    v("apply_seconds", &RewriteStats::apply_seconds, StatKind::PhaseSeconds);
   }
 };
 

@@ -62,18 +62,8 @@ void SchedStats::accumulate(const SchedStats& o) {
   if (o.workers > workers) workers = o.workers;
   if (per_worker.size() < o.per_worker.size())
     per_worker.resize(o.per_worker.size());
-  for (std::size_t i = 0; i < o.per_worker.size(); ++i) {
-    const WorkerStats& a = o.per_worker[i];
-    WorkerStats& b = per_worker[i];
-    b.tasks_run += a.tasks_run;
-    b.steals += a.steals;
-    b.tasks_stolen += a.tasks_stolen;
-    b.steal_attempts += a.steal_attempts;
-    b.busy_seconds += a.busy_seconds;
-    b.idle_seconds += a.idle_seconds;
-    if (a.peak_queue_depth > b.peak_queue_depth)
-      b.peak_queue_depth = a.peak_queue_depth;
-  }
+  for (std::size_t i = 0; i < o.per_worker.size(); ++i)
+    stat_fields::accumulate(per_worker[i], o.per_worker[i]);
 }
 
 std::string format_sched_summary(const SchedStats& s) {
@@ -221,7 +211,12 @@ ThreadPool::TaskRef ThreadPool::acquire(int slot) {
 
 void ThreadPool::run_task(const TaskRef& t, int slot) {
   const auto t0 = Clock::now();
-  t->body();
+  std::exception_ptr err;
+  try {
+    t->body();
+  } catch (...) {
+    err = std::current_exception();
+  }
   t->body = nullptr; // release captures promptly
   const double busy = seconds_since(t0);
   if (slot < worker_count()) {
@@ -234,6 +229,9 @@ void ThreadPool::run_task(const TaskRef& t, int slot) {
     ++external_stats_.tasks_run;
     external_stats_.busy_seconds += busy;
   }
+  // Complete the future only now, so a stats() call made right after
+  // wait() returns already counts this task.
+  t->finish(std::move(err));
 }
 
 void ThreadPool::worker_main(int slot) {

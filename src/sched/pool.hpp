@@ -41,6 +41,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "util/stat_fields.hpp"
+
 namespace rmsyn {
 
 /// Per-worker observability counters. The last slot of
@@ -54,6 +56,19 @@ struct WorkerStats {
   double busy_seconds = 0.0;   ///< time spent inside task bodies
   double idle_seconds = 0.0;   ///< time spent parked waiting for work
   std::size_t peak_queue_depth = 0;
+
+  /// Field table (util/stat_fields.hpp); exported per slot and summed
+  /// over slots as the sched.* metrics.
+  template <class V>
+  static void fields(V&& v) {
+    v("tasks", &WorkerStats::tasks_run, StatKind::Counter);
+    v("steals", &WorkerStats::steals, StatKind::Counter);
+    v("tasks_stolen", &WorkerStats::tasks_stolen, StatKind::Counter);
+    v("steal_attempts", &WorkerStats::steal_attempts, StatKind::Counter);
+    v("busy_seconds", &WorkerStats::busy_seconds, StatKind::Seconds);
+    v("idle_seconds", &WorkerStats::idle_seconds, StatKind::Seconds);
+    v("peak_queue_depth", &WorkerStats::peak_queue_depth, StatKind::Peak);
+  }
 };
 
 /// Pool-wide scheduler statistics (see ThreadPool::stats).
@@ -77,7 +92,9 @@ std::string format_sched_summary(const SchedStats& s);
 namespace sched_detail {
 /// Shared completion record of one submitted task.
 struct TaskCore {
-  std::function<void()> body; ///< cleared after execution
+  /// Stores the result; cleared after execution. run_task catches what it
+  /// throws and calls finish() once the slot's counters include the task.
+  std::function<void()> body;
   std::mutex m;
   std::condition_variable cv;
   bool done = false;
@@ -158,18 +175,10 @@ public:
     Future<R> fut;
     fut.core_ = std::make_shared<sched_detail::TaskCore>();
     fut.value_ = std::make_shared<std::optional<R>>();
-    auto core = fut.core_;
-    auto value = fut.value_;
-    core->body = [core, value, fn = std::forward<F>(fn)]() mutable {
-      std::exception_ptr err;
-      try {
-        value->emplace(fn());
-      } catch (...) {
-        err = std::current_exception();
-      }
-      core->finish(std::move(err));
+    fut.core_->body = [value = fut.value_, fn = std::forward<F>(fn)]() mutable {
+      value->emplace(fn());
     };
-    enqueue(core);
+    enqueue(fut.core_);
     return fut;
   }
 

@@ -1,11 +1,9 @@
 #include "sim/sim.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "network/eval_kernel.hpp"
 #include "obs/trace.hpp"
-#include "sched/pool.hpp"
 #include "util/simd.hpp"
 #include "util/stopwatch.hpp"
 
@@ -48,66 +46,20 @@ SimState::SimState(const Network& net, PatternSet patterns, ThreadPool* pool)
   }
   for (std::size_t i = 0; i < net_.po_count(); ++i) is_po_[net_.po(i)] = 1;
 
-  // Full pass: every gate's words are computed directly into its
-  // pre-allocated value row via the SIMD kernels. With a pool the word
-  // range is sharded across workers — gate evaluation is word-local, so
-  // disjoint ranges of the same rows compose to exactly the serial
-  // result. Fanout lists and structural levels are maintained by the
-  // network itself since the SoA refactor; the state only evaluates
-  // values.
+  // Full pass through the shared kernel (network/simulate.hpp); fanout
+  // lists and levels are the network's own, the state only keeps values.
   RMSYN_SPAN("sim-full-pass");
-  // topo_order() re-runs a full DFS per call — hoist the one copy every
-  // shard (and the activation sweep) iterates.
+  // topo_order() re-runs a full DFS per call — hoist the one copy the pass
+  // and the activation sweep iterate.
   const std::vector<NodeId> order = net_.topo_order();
   Stopwatch watch;
-  const std::size_t nw = (np + 63) / 64;
-  const auto pass_range = [this, &order](std::size_t w0, std::size_t w1) {
-    const std::size_t nwr = w1 - w0;
-    if (nwr == 0) return;
-    const uint64_t* ins_inline[kEvalInlineFanins];
-    std::vector<const uint64_t*> ins_heap;
-    for (const NodeId n : order) {
-      const GateType t = net_.type(n);
-      if (is_source(t)) continue;
-      const FaninSpan fi = net_.fanins(n);
-      const uint64_t** ins = ins_inline;
-      if (fi.size() > kEvalInlineFanins) {
-        ins_heap.resize(fi.size());
-        ins = ins_heap.data();
-      }
-      for (std::size_t k = 0; k < fi.size(); ++k)
-        ins[k] = values_[fi[k]].data() + w0;
-      eval_gate_words(t, ins, fi.size(), values_[n].data() + w0, nwr);
-    }
-  };
-
-  // Sharding only pays once each shard has a few SIMD blocks of work.
-  constexpr std::size_t kMinWordsPerShard = 8;
-  std::size_t nshards = 1;
-  if (pool != nullptr && pool->worker_count() > 0)
-    nshards = std::min<std::size_t>(
-        static_cast<std::size_t>(pool->slot_count()), nw / kMinWordsPerShard);
-  if (nshards <= 1) {
-    pass_range(0, nw);
-  } else {
-    std::vector<Future<bool>> futs;
-    futs.reserve(nshards);
-    for (std::size_t s = 0; s < nshards; ++s) {
-      const std::size_t w0 = s * nw / nshards;
-      const std::size_t w1 = (s + 1) * nw / nshards;
-      futs.push_back(pool->submit([&pass_range, w0, w1] {
-        pass_range(w0, w1);
-        return true;
-      }));
-    }
-    for (auto& fut : futs) pool->wait(fut);
-  }
+  simulate_words(net_, order, values_, pool);
 
   // Complemented gates leave garbage in the unused tail bits of the last
   // word; restore the invariant and activate in one sweep. simd_blocks is
   // counted per node evaluation (not per shard) so the stat is identical
   // under any --jobs value.
-  const std::size_t bpe = blocks_per_eval(nw);
+  const std::size_t bpe = blocks_per_eval((np + 63) / 64);
   for (const NodeId n : order) {
     if (is_source(net_.type(n))) continue;
     values_[n].mask_tail();
@@ -296,7 +248,7 @@ bool FaultProber::detects(const SimState& s, NodeId node, int pin,
   const BitVec& forced = stuck_value ? s.ones_ : s.zeros_;
   const std::size_t np = s.num_patterns();
   const std::size_t nw = forced.words();
-  const std::size_t bpe = blocks_per_eval(nw);
+  const std::size_t bpe = blocks_per_eval((np + 63) / 64);
 
   // Evaluates node m with faulty overlay values (and, for the seed, the
   // forced pin) through the SIMD kernels into scratch_.

@@ -43,6 +43,7 @@
 #include "network/network.hpp"
 #include "network/simulate.hpp"
 #include "util/bitvec.hpp"
+#include "util/stat_fields.hpp"
 
 namespace rmsyn {
 
@@ -79,28 +80,26 @@ struct SimStats {
                : 0.0;
   }
 
-  // Inline so rmsyn_obs can absorb the struct header-only (the same deal
-  // BddStats/SchedStats get).
-  void accumulate(const SimStats& o) {
-    full_passes += o.full_passes;
-    incr_resims += o.incr_resims;
-    events += o.events;
-    events_died += o.events_died;
-    fault_probes += o.fault_probes;
-    cone_nodes += o.cone_nodes;
-    faults_dropped += o.faults_dropped;
-    blocks_skipped += o.blocks_skipped;
-    value_reuses += o.value_reuses;
-    simd_blocks += o.simd_blocks;
-    patterns_simulated += o.patterns_simulated;
-    full_pass_seconds += o.full_pass_seconds;
-    if (o.simd_dispatch != nullptr) simd_dispatch = o.simd_dispatch;
-  }
-  bool empty() const {
-    return full_passes == 0 && incr_resims == 0 && events == 0 &&
-           events_died == 0 && fault_probes == 0 && cone_nodes == 0 &&
-           faults_dropped == 0 && blocks_skipped == 0 && value_reuses == 0 &&
-           simd_blocks == 0 && patterns_simulated == 0;
+  void accumulate(const SimStats& o) { stat_fields::accumulate(*this, o); }
+  bool empty() const { return stat_fields::empty(*this); }
+
+  /// Field table (util/stat_fields.hpp); exported as the sim.* metrics.
+  template <class V>
+  static void fields(V&& v) {
+    v("full_passes", &SimStats::full_passes, StatKind::Counter);
+    v("incr_resims", &SimStats::incr_resims, StatKind::Counter);
+    v("events", &SimStats::events, StatKind::Counter);
+    v("events_died", &SimStats::events_died, StatKind::Counter);
+    v("fault_probes", &SimStats::fault_probes, StatKind::Counter);
+    v("cone_nodes", &SimStats::cone_nodes, StatKind::Counter);
+    v("faults_dropped", &SimStats::faults_dropped, StatKind::Counter);
+    v("blocks_skipped", &SimStats::blocks_skipped, StatKind::Counter);
+    v("value_reuses", &SimStats::value_reuses, StatKind::Counter);
+    v("simd_blocks", &SimStats::simd_blocks, StatKind::Counter);
+    v("patterns_simulated", &SimStats::patterns_simulated, StatKind::Internal);
+    v("full_pass_seconds", &SimStats::full_pass_seconds, StatKind::Internal);
+    v("patterns_per_second", &SimStats::patterns_per_second, StatKind::Rate);
+    v("simd_dispatch", &SimStats::simd_dispatch, StatKind::Text);
   }
 };
 

@@ -198,27 +198,12 @@ public:
   }
 
   // --- stage tracking ----------------------------------------------------
-  /// Pushes a named stage (see StageScope). Checks the trip_at_stage fault.
+  /// Pushes a named stage (see obs::ScopedStage). Checks the trip_at_stage
+  /// fault.
   void begin_stage(const char* stage);
   void end_stage();
   /// Innermost active stage name ("" when outside any stage).
   std::string current_stage() const;
-
-  /// RAII stage marker.
-  class StageScope {
-  public:
-    StageScope(ResourceGovernor* g, const char* stage) : g_(g) {
-      if (g_ != nullptr) g_->begin_stage(stage);
-    }
-    ~StageScope() {
-      if (g_ != nullptr) g_->end_stage();
-    }
-    StageScope(const StageScope&) = delete;
-    StageScope& operator=(const StageScope&) = delete;
-
-  private:
-    ResourceGovernor* g_;
-  };
 
   // --- trip reporting -----------------------------------------------------
   /// Kind/stage/reason of the FIRST trip; preserved across grant_fallback().

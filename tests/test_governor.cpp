@@ -12,6 +12,7 @@
 #include "equiv/equiv.hpp"
 #include "flow/flow.hpp"
 #include "network/transform.hpp"
+#include "obs/stage.hpp"
 
 namespace rmsyn {
 namespace {
@@ -93,11 +94,11 @@ TEST(Governor, StageFaultTripsOnNamedStageAndRecordsIt) {
   lim.faults.trip_at_stage = "ofdd-build";
   ResourceGovernor gov(lim);
   {
-    ResourceGovernor::StageScope outer(&gov, "polarity-search");
+    obs::ScopedStage outer(&gov, nullptr, "polarity-search");
     EXPECT_EQ(gov.current_stage(), "polarity-search");
     EXPECT_FALSE(gov.exhausted());
     {
-      ResourceGovernor::StageScope inner(&gov, "ofdd-build");
+      obs::ScopedStage inner(&gov, nullptr, "ofdd-build");
       EXPECT_TRUE(gov.exhausted());
       EXPECT_EQ(gov.current_stage(), "ofdd-build");
     }
@@ -109,8 +110,8 @@ TEST(Governor, StageFaultTripsOnNamedStageAndRecordsIt) {
 }
 
 TEST(Governor, StageScopeIsNullSafe) {
-  ResourceGovernor::StageScope a(nullptr, "anything");
-  ResourceGovernor::StageScope b(nullptr, "nested");
+  obs::ScopedStage a(nullptr, nullptr, "anything");
+  obs::ScopedStage b(nullptr, nullptr, "nested");
   SUCCEED();
 }
 

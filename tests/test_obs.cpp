@@ -22,7 +22,9 @@
 #include "obs/sink.hpp"
 #include "obs/stage.hpp"
 #include "obs/trace.hpp"
+#include "rewrite/rewrite.hpp"
 #include "sched/pool.hpp"
+#include "sim/sim.hpp"
 #include "util/governor.hpp"
 #include "util/progress.hpp"
 
@@ -463,7 +465,7 @@ TEST(MetricsRegistry, AbsorbersPopulateWellKnownGroups) {
   bdd.unique_hits = 25;
   bdd.peak_live_nodes = 42;
   bdd.gc_runs = 3;
-  m.absorb_bdd(bdd);
+  stat_fields::absorb(m, "dd.", bdd);
   EXPECT_EQ(m.counter("dd.cache_lookups"), 100u);
   EXPECT_DOUBLE_EQ(m.gauge("dd.peak_live_nodes"), 42.0);
 
@@ -483,6 +485,121 @@ TEST(MetricsRegistry, AbsorbersPopulateWellKnownGroups) {
   EXPECT_EQ(m.counter("sched.w1.steals"), 2u);
   EXPECT_EQ(m.counter("sched.ext.tasks"), 1u);
   EXPECT_DOUBLE_EQ(m.gauge("sched.peak_queue_depth"), 9.0);
+  // Zero seconds are real per-slot samples: the external slot never parks.
+  EXPECT_TRUE(m.contains("sched.ext.idle_seconds"));
+  {
+    // A slot that neither ran nor probed gets no per-slot entries, but
+    // its idle time still counts in the pool totals.
+    SchedStats parked;
+    parked.workers = 1;
+    parked.per_worker.resize(2);
+    parked.per_worker[0].idle_seconds = 0.5;
+    parked.per_worker[1].tasks_run = 1;
+    obs::MetricsRegistry pm;
+    pm.absorb_sched(parked);
+    EXPECT_DOUBLE_EQ(pm.hist_sum("sched.idle_seconds"), 0.5);
+    EXPECT_FALSE(pm.contains("sched.w0.idle_seconds"));
+    EXPECT_TRUE(pm.contains("sched.ext.tasks"));
+  }
+
+  SimStats sim;
+  sim.full_passes = 2;
+  sim.incr_resims = 3;
+  sim.events = 40;
+  sim.events_died = 10;
+  sim.fault_probes = 5;
+  sim.cone_nodes = 60;
+  sim.faults_dropped = 4;
+  sim.blocks_skipped = 1;
+  sim.value_reuses = 7;
+  sim.simd_blocks = 8;
+  sim.patterns_simulated = 512;
+  sim.full_pass_seconds = 0.25;
+  sim.simd_dispatch = "scalar";
+  stat_fields::absorb(m, "sim.", sim);
+  rw::RewriteStats rws;
+  rws.passes = 1;
+  rws.roots = 2;
+  rws.cuts_enumerated = 3;
+  rws.db_hits = 4;
+  rws.candidates = 5;
+  rws.stale_skips = 6;
+  rws.replacements = 7;
+  rws.sim_rejects = 8;
+  rws.bdd_rejects = 9;
+  rws.lits_before = 10;
+  rws.lits_after = 11;
+  rws.gain_lits = 12;
+  rws.cuts_seconds = 0.5;
+  rws.eval_seconds = 0.25;
+  stat_fields::absorb(m, "rewrite.", rws);
+  // Every exported sim.* / rewrite.* name and nothing else: the summed
+  // internals (patterns_simulated, full_pass_seconds, dd live_nodes) only
+  // feed the derived rate, and a phase that never ran adds no histogram.
+  std::vector<std::string> names;
+  for (const auto& e : m.snapshot())
+    if (e.name.rfind("sim.", 0) == 0 || e.name.rfind("rewrite.", 0) == 0)
+      names.push_back(e.name + ":" + obs::to_string(e.v.kind));
+  const std::vector<std::string> want = {
+      "rewrite.bdd_rejects:counter",     "rewrite.candidates:counter",
+      "rewrite.cuts_enumerated:counter", "rewrite.cuts_seconds:histogram",
+      "rewrite.db_hits:counter",         "rewrite.eval_seconds:histogram",
+      "rewrite.gain_lits:counter",       "rewrite.lits_after:counter",
+      "rewrite.lits_before:counter",     "rewrite.passes:counter",
+      "rewrite.replacements:counter",    "rewrite.roots:counter",
+      "rewrite.sim_rejects:counter",     "rewrite.stale_skips:counter",
+      "sim.blocks_skipped:counter",      "sim.cone_nodes:counter",
+      "sim.events:counter",              "sim.events_died:counter",
+      "sim.fault_probes:counter",        "sim.faults_dropped:counter",
+      "sim.full_passes:counter",         "sim.incr_resims:counter",
+      "sim.patterns_per_second:gauge",   "sim.simd_blocks:counter",
+      "sim.simd_dispatch:text",          "sim.value_reuses:counter"};
+  EXPECT_EQ(names, want);
+  EXPECT_FALSE(m.contains("dd.live_nodes"));
+  EXPECT_EQ(m.counter("sim.full_passes"), 2u);
+  EXPECT_EQ(m.counter("sim.incr_resims"), 3u);
+  EXPECT_EQ(m.counter("sim.events"), 40u);
+  EXPECT_EQ(m.counter("sim.events_died"), 10u);
+  EXPECT_EQ(m.counter("sim.fault_probes"), 5u);
+  EXPECT_EQ(m.counter("sim.cone_nodes"), 60u);
+  EXPECT_EQ(m.counter("sim.faults_dropped"), 4u);
+  EXPECT_EQ(m.counter("sim.blocks_skipped"), 1u);
+  EXPECT_EQ(m.counter("sim.value_reuses"), 7u);
+  EXPECT_EQ(m.counter("sim.simd_blocks"), 8u);
+  EXPECT_DOUBLE_EQ(m.gauge("sim.patterns_per_second"), 2048.0);
+  EXPECT_EQ(m.text("sim.simd_dispatch"), "scalar");
+  EXPECT_EQ(m.counter("rewrite.passes"), 1u);
+  EXPECT_EQ(m.counter("rewrite.roots"), 2u);
+  EXPECT_EQ(m.counter("rewrite.cuts_enumerated"), 3u);
+  EXPECT_EQ(m.counter("rewrite.db_hits"), 4u);
+  EXPECT_EQ(m.counter("rewrite.candidates"), 5u);
+  EXPECT_EQ(m.counter("rewrite.stale_skips"), 6u);
+  EXPECT_EQ(m.counter("rewrite.replacements"), 7u);
+  EXPECT_EQ(m.counter("rewrite.sim_rejects"), 8u);
+  EXPECT_EQ(m.counter("rewrite.bdd_rejects"), 9u);
+  EXPECT_EQ(m.counter("rewrite.lits_before"), 10u);
+  EXPECT_EQ(m.counter("rewrite.lits_after"), 11u);
+  EXPECT_EQ(m.counter("rewrite.gain_lits"), 12u);
+  EXPECT_DOUBLE_EQ(m.hist_sum("rewrite.cuts_seconds"), 0.5);
+  EXPECT_DOUBLE_EQ(m.hist_sum("rewrite.eval_seconds"), 0.25);
+
+  // Row metrics: a row that never simulated or rewrote anything adds no
+  // sim.* / rewrite.* entries, while dd.* is reported even for a row that
+  // built no BDD.
+  FlowRow busy;
+  busy.sim = sim;
+  busy.rewrite = rws;
+  const obs::MetricsRegistry rows = collect_flow_metrics({busy, FlowRow{}});
+  EXPECT_EQ(rows.counter("sim.events"), 40u);
+  EXPECT_EQ(rows.counter("rewrite.gain_lits"), 12u);
+  EXPECT_EQ(rows.text("sim.simd_dispatch"), "scalar");
+  const obs::MetricsRegistry idle = collect_flow_metrics({FlowRow{}});
+  EXPECT_TRUE(idle.contains("dd.cache_lookups"));
+  EXPECT_TRUE(idle.contains("dd.peak_live_nodes"));
+  for (const auto& e : idle.snapshot()) {
+    EXPECT_NE(e.name.rfind("sim.", 0), 0u) << e.name;
+    EXPECT_NE(e.name.rfind("rewrite.", 0), 0u) << e.name;
+  }
 
   m.absorb_status(FlowStatus::ok());
   m.absorb_status(FlowStatus::degraded("factor"));
@@ -505,6 +622,10 @@ TEST(MetricsRegistry, AbsorbersPopulateWellKnownGroups) {
   EXPECT_NE(out.find("Flow: 3 rows (1 ok, 1 degraded, 1 failed)"),
             std::string::npos);
   EXPECT_NE(out.find("Stages: factor 1.500s (3)"), std::string::npos);
+  EXPECT_NE(out.find("Sim SIMD: scalar dispatch, 8 blocks"), std::string::npos);
+  EXPECT_NE(out.find("Rewrite: 1 passes over 2 roots, 3 cuts (4 db hits), "
+                     "5 candidates -> 7 applied (6 stale"),
+            std::string::npos);
 }
 
 TEST(MetricsRegistry, FormatterOmitsEmptyGroupsAndRendersUnknownOnes) {

@@ -331,6 +331,44 @@ TEST(Resilience, JournalWriteFaultIsCountedNotFatal) {
   std::remove(bo.journal_path.c_str());
 }
 
+TEST(Resilience, FlowRowJsonRoundTripsEveryRewriteCounter) {
+  // The journal replays rows from this JSON, so every rewrite counter must
+  // come back; the phase timings are not carried.
+  FlowRow row;
+  row.circuit = "rd53";
+  row.rewrite.passes = 1;
+  row.rewrite.roots = 2;
+  row.rewrite.cuts_enumerated = 3;
+  row.rewrite.db_hits = 4;
+  row.rewrite.candidates = 5;
+  row.rewrite.stale_skips = 6;
+  row.rewrite.replacements = 7;
+  row.rewrite.sim_rejects = 8;
+  row.rewrite.bdd_rejects = 9;
+  row.rewrite.lits_before = 10;
+  row.rewrite.lits_after = 11;
+  row.rewrite.gain_lits = 12;
+  row.rewrite.cuts_seconds = 0.5;
+  const obs::Json j = flow_row_json(row);
+  const FlowRow back = flow_row_from_json(obs::Json::parse(j.dump()));
+  EXPECT_EQ(back.rewrite.passes, 1u);
+  EXPECT_EQ(back.rewrite.roots, 2u);
+  EXPECT_EQ(back.rewrite.cuts_enumerated, 3u);
+  EXPECT_EQ(back.rewrite.db_hits, 4u);
+  EXPECT_EQ(back.rewrite.candidates, 5u);
+  EXPECT_EQ(back.rewrite.stale_skips, 6u);
+  EXPECT_EQ(back.rewrite.replacements, 7u);
+  EXPECT_EQ(back.rewrite.sim_rejects, 8u);
+  EXPECT_EQ(back.rewrite.bdd_rejects, 9u);
+  EXPECT_EQ(back.rewrite.lits_before, 10u);
+  EXPECT_EQ(back.rewrite.lits_after, 11u);
+  EXPECT_EQ(back.rewrite.gain_lits, 12u);
+  EXPECT_EQ(back.rewrite.cuts_seconds, 0.0);
+  EXPECT_EQ(j.get("rewrite").size(), 12u);
+  // A row without rewrite work carries no rewrite block at all.
+  EXPECT_FALSE(flow_row_json(FlowRow{}).contains("rewrite"));
+}
+
 TEST(Resilience, FlowRowFromJsonRejectsMalformedRecords) {
   EXPECT_THROW(flow_row_from_json(obs::Json::parse("[1,2,3]")), RmsynError);
   obs::Json bad = obs::Json::object();

@@ -101,6 +101,59 @@ TEST(ThreadPool, StealStressKeepsEveryResult) {
   EXPECT_GE(s.total_steals(), s.total_tasks_stolen() > 0 ? 1u : 0u);
 }
 
+TEST(SchedStats, AccumulateMergesSlotsAcrossWorkerCounts) {
+  // Slots merge by index: counters and seconds add, the queue-depth peak
+  // takes the max, and the wider side's slots (its external slot last)
+  // are kept.
+  SchedStats a;
+  a.workers = 1;
+  a.per_worker.resize(2); // 1 worker + external slot
+  a.per_worker[0].tasks_run = 3;
+  a.per_worker[0].busy_seconds = 0.5;
+  a.per_worker[0].peak_queue_depth = 4;
+  a.per_worker[1].tasks_run = 2;
+  a.per_worker[1].steal_attempts = 6;
+  a.per_worker[1].idle_seconds = 0.25;
+
+  SchedStats b;
+  b.workers = 3;
+  b.per_worker.resize(4); // 3 workers + external slot
+  b.per_worker[0].tasks_run = 1;
+  b.per_worker[0].steals = 2;
+  b.per_worker[0].tasks_stolen = 5;
+  b.per_worker[0].peak_queue_depth = 2;
+  b.per_worker[1].busy_seconds = 1.0;
+  b.per_worker[3].tasks_run = 7;
+  b.per_worker[3].peak_queue_depth = 9;
+
+  SchedStats sum = a;
+  sum.accumulate(b);
+  EXPECT_EQ(sum.workers, 3);
+  ASSERT_EQ(sum.per_worker.size(), 4u);
+  EXPECT_EQ(sum.per_worker[0].tasks_run, 4u);
+  EXPECT_EQ(sum.per_worker[0].steals, 2u);
+  EXPECT_EQ(sum.per_worker[0].tasks_stolen, 5u);
+  EXPECT_EQ(sum.per_worker[0].peak_queue_depth, 4u);
+  EXPECT_DOUBLE_EQ(sum.per_worker[0].busy_seconds, 0.5);
+  EXPECT_EQ(sum.per_worker[1].tasks_run, 2u);
+  EXPECT_EQ(sum.per_worker[1].steal_attempts, 6u);
+  EXPECT_DOUBLE_EQ(sum.per_worker[1].busy_seconds, 1.0);
+  EXPECT_DOUBLE_EQ(sum.per_worker[1].idle_seconds, 0.25);
+  EXPECT_EQ(sum.per_worker[3].tasks_run, 7u);
+  EXPECT_EQ(sum.per_worker[3].peak_queue_depth, 9u);
+  EXPECT_EQ(sum.total_tasks(), 13u);
+  EXPECT_EQ(sum.max_queue_depth(), 9u);
+
+  // Narrower into wider: the wider side keeps its size and worker count.
+  SchedStats wide = b;
+  wide.accumulate(a);
+  EXPECT_EQ(wide.workers, 3);
+  ASSERT_EQ(wide.per_worker.size(), 4u);
+  EXPECT_EQ(wide.per_worker[1].tasks_run, 2u);
+  EXPECT_EQ(wide.per_worker[3].tasks_run, 7u);
+  EXPECT_EQ(wide.total_tasks(), 13u);
+}
+
 TEST(BenchgenRegistry, EveryCircuitConstructsWithAdvertisedIo) {
   // The batch layer serves from this registry; a circuit that fails to
   // construct or lies about its interface would poison whole manifests.

@@ -320,6 +320,22 @@ TEST(SimState, StatsCarrySimdCountersAndDispatch) {
   EXPECT_GT(sim.stats().patterns_per_second(), 0.0);
   SimStats zero;
   EXPECT_EQ(zero.patterns_per_second(), 0.0);
+  EXPECT_TRUE(zero.empty());
+
+  // Accumulating keeps the dispatch of any contributor that has one, in
+  // either order, and sums the counters.
+  SimStats acc;
+  acc.accumulate(sim.stats());
+  acc.accumulate(zero);
+  EXPECT_EQ(acc.simd_dispatch, sim.stats().simd_dispatch);
+  zero.accumulate(sim.stats());
+  EXPECT_EQ(zero.simd_dispatch, sim.stats().simd_dispatch);
+  acc.accumulate(sim.stats());
+  EXPECT_EQ(acc.full_passes, 2 * sim.stats().full_passes);
+  EXPECT_EQ(acc.patterns_simulated, 400u);
+  EXPECT_EQ(acc.simd_blocks, 2 * sim.stats().simd_blocks);
+  EXPECT_DOUBLE_EQ(acc.full_pass_seconds, 2 * sim.stats().full_pass_seconds);
+  EXPECT_FALSE(acc.empty());
 }
 
 TEST(PatternSet, ReserveDoesNotChangeAppendResults) {

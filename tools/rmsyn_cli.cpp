@@ -256,7 +256,7 @@ int cmd_synth(const std::vector<std::string>& args) {
               static_cast<unsigned long long>(rep.bdd.reorder_runs));
   if (!rep.rewrite.empty()) {
     obs::MetricsRegistry m;
-    m.absorb_rewrite(rep.rewrite);
+    stat_fields::absorb(m, "rewrite.", rep.rewrite);
     std::printf("%s", obs::format_metrics_summary(m).c_str());
   }
   if (!rep.stages.empty()) std::printf("%s", rep.stages.to_string().c_str());
@@ -380,7 +380,7 @@ int cmd_atpg(const std::vector<std::string>& args) {
   for (const auto& f : sim.undetected)
     std::printf("  undetected: %s\n", to_string(f, net).c_str());
   obs::MetricsRegistry m;
-  m.absorb_sim(stats);
+  if (!stats.empty()) stat_fields::absorb(m, "sim.", stats);
   std::printf("%s", obs::format_metrics_summary(m).c_str());
   return 0;
 }
@@ -450,7 +450,7 @@ int cmd_rewrite(const std::vector<std::string>& args) {
                      "rewrite: result not equivalent to input: " +
                          check.reason);
   obs::MetricsRegistry m;
-  m.absorb_rewrite(st);
+  if (!st.empty()) stat_fields::absorb(m, "rewrite.", st);
   std::printf("%s", obs::format_metrics_summary(m).c_str());
   std::printf("rewrite %s: %s in %.3fs (equivalence %s)\n", args[0].c_str(),
               to_string(network_stats(net)).c_str(), seconds,
@@ -659,10 +659,9 @@ int cmd_table2(const std::vector<std::string>& args) {
   }
   std::printf("%s", format_table2(result.rows).c_str());
   print_row_latency(result.rows);
-  if (bopt.jobs > 1) {
-    std::printf("%s", format_dd_kernel_summary(result.rows).c_str());
+  std::printf("%s", format_dd_kernel_summary(result.rows).c_str());
+  if (bopt.jobs > 1)
     std::printf("%s", format_sched_summary(result.sched).c_str());
-  }
   return status_exit_code(result.worst);
 }
 
