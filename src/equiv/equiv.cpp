@@ -2,45 +2,91 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "network/simulate.hpp"
+#include "network/transform.hpp"
 #include "sim/sim.hpp"
 
 namespace rmsyn {
 
-std::vector<BddRef> node_bdds(BddManager& mgr, const Network& net) {
+namespace {
+
+/// BDD of node n from the BDDs of its fanins (PIs and constants: f[n]).
+BddRef gate_bdd(BddManager& mgr, const Network& net, NodeId n,
+                const std::vector<BddRef>& f) {
+  const auto& fi = net.fanins(n);
+  switch (net.type(n)) {
+    case GateType::Const0: case GateType::Const1: case GateType::Pi:
+      return f[n];
+    case GateType::Buf: return f[fi[0]];
+    case GateType::Not: return mgr.bdd_not(f[fi[0]]);
+    case GateType::And: case GateType::Nand: {
+      BddRef acc = mgr.bdd_true();
+      for (const NodeId g : fi) acc = mgr.bdd_and(acc, f[g]);
+      return net.type(n) == GateType::Nand ? mgr.bdd_not(acc) : acc;
+    }
+    case GateType::Or: case GateType::Nor: {
+      BddRef acc = mgr.bdd_false();
+      for (const NodeId g : fi) acc = mgr.bdd_or(acc, f[g]);
+      return net.type(n) == GateType::Nor ? mgr.bdd_not(acc) : acc;
+    }
+    case GateType::Xor: case GateType::Xnor: {
+      BddRef acc = mgr.bdd_false();
+      for (const NodeId g : fi) acc = mgr.bdd_xor(acc, f[g]);
+      return net.type(n) == GateType::Xnor ? mgr.bdd_not(acc) : acc;
+    }
+  }
+  return f[n];
+}
+
+/// The PI and constant entries of a node_bdds vector.
+std::vector<BddRef> leaf_bdds(BddManager& mgr, const Network& net) {
   if (mgr.nvars() < static_cast<int>(net.pi_count()))
     throw std::invalid_argument("node_bdds: manager too narrow");
   std::vector<BddRef> f(net.node_count(), mgr.bdd_false());
   f[Network::kConst1] = mgr.bdd_true();
   for (std::size_t i = 0; i < net.pi_count(); ++i)
     f[net.pis()[i]] = mgr.var(static_cast<int>(i));
-  for (const NodeId n : net.topo_order()) {
-    const auto& fi = net.fanins(n);
-    switch (net.type(n)) {
-      case GateType::Const0: case GateType::Const1: case GateType::Pi:
-        break;
-      case GateType::Buf: f[n] = f[fi[0]]; break;
-      case GateType::Not: f[n] = mgr.bdd_not(f[fi[0]]); break;
-      case GateType::And: case GateType::Nand: {
-        BddRef acc = mgr.bdd_true();
-        for (const NodeId g : fi) acc = mgr.bdd_and(acc, f[g]);
-        f[n] = net.type(n) == GateType::Nand ? mgr.bdd_not(acc) : acc;
-        break;
-      }
-      case GateType::Or: case GateType::Nor: {
-        BddRef acc = mgr.bdd_false();
-        for (const NodeId g : fi) acc = mgr.bdd_or(acc, f[g]);
-        f[n] = net.type(n) == GateType::Nor ? mgr.bdd_not(acc) : acc;
-        break;
-      }
-      case GateType::Xor: case GateType::Xnor: {
-        BddRef acc = mgr.bdd_false();
-        for (const NodeId g : fi) acc = mgr.bdd_xor(acc, f[g]);
-        f[n] = net.type(n) == GateType::Xnor ? mgr.bdd_not(acc) : acc;
-        break;
-      }
+  return f;
+}
+
+/// Builds and pins the BDD of every node in the fanin cone of `root` that
+/// is not `built` yet, fanins first, so cones shared between calls are
+/// built once.
+void build_cone(BddManager& mgr, const Network& net, NodeId root,
+                std::vector<BddRef>& f, std::vector<bool>& built) {
+  std::vector<std::pair<NodeId, std::size_t>> stack;
+  if (!built[root]) stack.emplace_back(root, 0);
+  while (!stack.empty()) {
+    const auto [n, k] = stack.back();
+    if (k < net.fanin_count(n)) {
+      ++stack.back().second;
+      const NodeId g = net.fanin(n, k);
+      if (!built[g]) stack.emplace_back(g, 0);
+    } else {
+      f[n] = mgr.ref(gate_bdd(mgr, net, n, f));
+      built[n] = true;
+      stack.pop_back();
     }
+  }
+}
+
+/// `partial` with its verdict withdrawn: a governed BDD phase ran out of
+/// budget. Pairs already proved stay counted.
+EquivResult undecided(EquivResult partial) {
+  partial.equivalent = false;
+  partial.reason = "equivalence undecided: resource budget exhausted";
+  partial.decided = false;
+  return partial;
+}
+
+} // namespace
+
+std::vector<BddRef> node_bdds(BddManager& mgr, const Network& net) {
+  std::vector<BddRef> f = leaf_bdds(mgr, net);
+  for (const NodeId n : net.topo_order()) {
+    f[n] = gate_bdd(mgr, net, n, f);
     // Pin each node function: later gates (and any auto-reordering the
     // caller enabled) must not reclaim it from under the vector.
     mgr.ref(f[n]);
@@ -81,29 +127,46 @@ EquivResult check_equivalence(const Network& a, const Network& b,
     }
   }
 
+  // Structure next: both networks hashed into one miter. A PO pair whose
+  // heads are the same node is proved; nothing else is concluded from it.
+  const Network miter = strash_miter(a, b);
+  const std::size_t n = a.po_count();
+  EquivResult result{true, {}};
+  for (std::size_t i = 0; i < n; ++i)
+    if (miter.po(i) == miter.po(n + i)) ++result.proved_by_structure;
+  if (result.proved_by_structure == n) return result;
+
+  // BDDs for the rest, pair by pair over the miter: only the open pairs'
+  // cones are built, logic both sides share is built once, and the first
+  // mismatch stops the check.
   BddManager mgr(static_cast<int>(a.pi_count()));
   mgr.set_governor(governor);
   // Wide interfaces are where the identity order blows up; let the kernel
-  // sift. node_bdds pins every intermediate, so reordering is safe here.
+  // sift. build_cone pins every node it builds, so reordering is safe here.
   if (a.pi_count() > 16) mgr.set_auto_reorder(true);
-  const EquivResult undecided{false, "equivalence undecided: resource budget "
-                                     "exhausted", false};
-  const auto fa = output_bdds(mgr, a);
-  const auto fb = output_bdds(mgr, b);
-  for (std::size_t i = 0; i < fa.size(); ++i) {
-    if (BddManager::is_invalid(fa[i]) || BddManager::is_invalid(fb[i]))
-      return undecided;
-    if (fa[i] != fb[i]) {
-      const BddRef diff = mgr.bdd_xor(fa[i], fb[i]);
-      if (BddManager::is_invalid(diff)) return undecided;
+  std::vector<BddRef> f = leaf_bdds(mgr, miter);
+  std::vector<bool> built(miter.node_count(), false);
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId ha = miter.po(i), hb = miter.po(n + i);
+    if (ha == hb) continue;
+    build_cone(mgr, miter, ha, f, built);
+    build_cone(mgr, miter, hb, f, built);
+    if (BddManager::is_invalid(f[ha]) || BddManager::is_invalid(f[hb]))
+      return undecided(result);
+    if (f[ha] != f[hb]) {
+      const BddRef diff = mgr.bdd_xor(f[ha], f[hb]);
+      if (BddManager::is_invalid(diff)) return undecided(result);
       const BitVec witness = mgr.pick_sat(diff);
       std::ostringstream msg;
       msg << "BDD mismatch on output " << i << " (" << a.po_name(i)
           << "), witness " << witness.to_string();
-      return {false, msg.str()};
+      result.equivalent = false;
+      result.reason = msg.str();
+      return result;
     }
+    ++result.proved_by_bdd;
   }
-  return {true, {}};
+  return result;
 }
 
 EquivResult check_against_tts(const Network& net,

@@ -1,8 +1,10 @@
 // Combinational equivalence checking — the reproduction of SIS's `verify`,
-// which the paper runs on every synthesized circuit. A fast 64-pattern
-// random-simulation miter rejects obvious mismatches; the decision procedure
-// is BDD-based (both networks' primary outputs are canonicalized in one
-// manager under the shared PI order).
+// which the paper runs on every synthesized circuit. Three steps, cheapest
+// first: a 256-pattern random-simulation miter on the two original networks
+// rejects obvious mismatches; a structural-hashing miter (both networks
+// strashed into one network over shared PIs) proves every PO pair whose
+// heads hash to the same node; BDDs, built once over that miter and only
+// over the cones of the pairs structure left open, decide the rest.
 #pragma once
 
 #include <string>
@@ -29,14 +31,21 @@ struct EquivResult {
   /// verdict; `equivalent` is then meaningless. Ungoverned checks always
   /// decide.
   bool decided = true;
+  /// PO pairs proved by the structural miter (their heads hashed to one
+  /// node) and PO pairs proved by comparing BDDs. On a decided equivalent
+  /// result they add up to the PO count.
+  std::size_t proved_by_structure = 0;
+  std::size_t proved_by_bdd = 0;
 };
 
 /// Checks functional equivalence of two networks with identical PI/PO
 /// counts, matching PIs and POs by position. With a governor attached the
 /// BDD phase is budgeted: on a trip the result comes back undecided
 /// (decided == false) rather than as a spurious NOT-EQUIVALENT. The
-/// random-simulation prepass always runs, so genuine mismatches it can see
-/// are decided even on an exhausted budget.
+/// random-simulation prepass and the structural miter always run, so
+/// mismatches simulation sees and pairs structure proves are decided even
+/// on an exhausted budget; when structure proves every pair no BDD is
+/// built at all.
 EquivResult check_equivalence(const Network& a, const Network& b,
                               uint64_t sim_seed = 0xC0FFEE,
                               ResourceGovernor* governor = nullptr);

@@ -14,21 +14,39 @@ namespace {
 /// normalized to {Not, And, Or, Xor} over already-simplified fanins.
 class Builder {
 public:
-  explicit Builder(const Network& src)
-      : src_(src), map_(src.node_count(), Network::kNoNode) {
-    for (std::size_t i = 0; i < src.pi_count(); ++i) {
-      const NodeId pi = out_.add_pi(src.name(src.pis()[i]));
-      map_[src.pis()[i]] = pi;
-    }
-    map_[Network::kConst0] = Network::kConst0;
-    map_[Network::kConst1] = Network::kConst1;
+  /// Starts with one PI per PI of `pis_from`, named after it.
+  explicit Builder(const Network& pis_from) {
+    for (std::size_t i = 0; i < pis_from.pi_count(); ++i)
+      out_.add_pi(pis_from.name(pis_from.pis()[i]));
   }
 
-  NodeId mapped(NodeId old) const {
-    assert(map_[old] != Network::kNoNode);
-    return map_[old];
+  /// Hashes every live gate of `src` into the network under construction,
+  /// PI i of `src` standing for built PI i. Several sources may be added;
+  /// their structurally equal gates become one node. Returns the dense
+  /// source node -> built node map.
+  std::vector<NodeId> add(const Network& src) {
+    assert(src.pi_count() == out_.pi_count());
+    std::vector<NodeId> map(src.node_count(), Network::kNoNode);
+    map[Network::kConst0] = Network::kConst0;
+    map[Network::kConst1] = Network::kConst1;
+    for (std::size_t i = 0; i < src.pi_count(); ++i)
+      map[src.pis()[i]] = out_.pis()[i];
+    const auto live = src.live_mask();
+    for (const NodeId n : src.topo_order()) {
+      if (!live[n]) continue;
+      const GateType t = src.type(n);
+      if (t == GateType::Pi || t == GateType::Const0 || t == GateType::Const1)
+        continue;
+      std::vector<NodeId> fi;
+      fi.reserve(src.fanins(n).size());
+      for (const NodeId f : src.fanins(n)) {
+        assert(map[f] != Network::kNoNode);
+        fi.push_back(map[f]);
+      }
+      map[n] = mk_gate(t, std::move(fi));
+    }
+    return map;
   }
-  void set_mapped(NodeId old, NodeId nu) { map_[old] = nu; }
 
   NodeId mk_not(NodeId a) {
     if (a == Network::kConst0) return Network::kConst1;
@@ -124,9 +142,7 @@ private:
     return id;
   }
 
-  const Network& src_;
   Network out_;
-  std::vector<NodeId> map_; ///< source node -> built node (dense)
   std::map<std::pair<GateType, std::vector<NodeId>>, NodeId> hash_;
 };
 
@@ -134,21 +150,26 @@ private:
 
 Network strash(const Network& net) {
   Builder b(net);
-  const auto live = net.live_mask();
-  for (const NodeId n : net.topo_order()) {
-    if (!live[n]) continue;
-    const GateType t = net.type(n);
-    if (t == GateType::Pi || t == GateType::Const0 || t == GateType::Const1)
-      continue;
-    std::vector<NodeId> fi;
-    fi.reserve(net.fanins(n).size());
-    for (const NodeId f : net.fanins(n)) fi.push_back(b.mapped(f));
-    b.set_mapped(n, b.mk_gate(t, std::move(fi)));
-  }
+  const auto map = b.add(net);
   for (std::size_t i = 0; i < net.po_count(); ++i)
-    b.net().add_po(b.mapped(net.po(i)), net.po_name(i));
+    b.net().add_po(map[net.po(i)], net.po_name(i));
   Network out = sweep(b.take());
   maybe_check_invariants(out, "strash");
+  return out;
+}
+
+Network strash_miter(const Network& a, const Network& b) {
+  if (a.pi_count() != b.pi_count())
+    throw std::invalid_argument("strash_miter: PI counts differ");
+  Builder builder(a);
+  const auto map_a = builder.add(a);
+  const auto map_b = builder.add(b);
+  for (std::size_t i = 0; i < a.po_count(); ++i)
+    builder.net().add_po(map_a[a.po(i)], a.po_name(i));
+  for (std::size_t i = 0; i < b.po_count(); ++i)
+    builder.net().add_po(map_b[b.po(i)], b.po_name(i));
+  Network out = builder.take();
+  maybe_check_invariants(out, "strash_miter");
   return out;
 }
 

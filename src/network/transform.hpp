@@ -14,6 +14,13 @@ namespace rmsyn {
 /// Not(And/Or/Xor). The result contains only live nodes.
 Network strash(const Network& net);
 
+/// Structural-hashing miter: strashes `a` and then `b` into one network
+/// with shared PIs (PI i of both is miter PI i, named after `a`'s). POs
+/// 0..a.po_count()-1 are `a`'s outputs, the rest are `b`'s, in order. Equal
+/// PO heads mean equal functions; different heads prove nothing. Unlike
+/// strash() the result is not swept.
+Network strash_miter(const Network& a, const Network& b);
+
 /// Replaces every gate of more than two inputs by a balanced binary tree of
 /// 2-input gates (the paper's "balanced binary tree of XOR gates" applies
 /// the same shape to all associative gates).
