@@ -9,11 +9,12 @@
 
 #include "benchgen/spec.hpp"
 #include "core/synth.hpp"
+#include "harness.hpp"
 
 int main(int argc, char** argv) {
   using namespace rmsyn;
-  std::vector<std::string> names;
-  for (int i = 1; i < argc; ++i) names.emplace_back(argv[i]);
+  std::vector<std::string> names =
+      bench::parse_args_or_exit(argc, argv, "", true).names;
   if (names.empty())
     names = {"z4ml", "adr4", "add6",  "rd53",   "rd73", "rd84",  "9sym",
              "t481", "f2",   "mlp4",  "squar5", "sqr6", "cm82a", "majority",

@@ -15,12 +15,13 @@
 
 #include "benchgen/spec.hpp"
 #include "core/synth.hpp"
+#include "harness.hpp"
 #include "network/transform.hpp"
 
 int main(int argc, char** argv) {
   using namespace rmsyn;
-  std::vector<std::string> names;
-  for (int i = 1; i < argc; ++i) names.emplace_back(argv[i]);
+  std::vector<std::string> names =
+      bench::parse_args_or_exit(argc, argv, "", true).names;
   if (names.empty())
     names = {"z4ml", "adr4", "add6", "my_adder", "mlp4", "sqr6",
              "rd53", "rd84", "9sym", "t481",     "cm85a"};

@@ -11,12 +11,13 @@
 
 #include "benchgen/spec.hpp"
 #include "core/synth.hpp"
+#include "harness.hpp"
 #include "network/stats.hpp"
 
 int main(int argc, char** argv) {
   using namespace rmsyn;
-  std::vector<std::string> names;
-  for (int i = 1; i < argc; ++i) names.emplace_back(argv[i]);
+  std::vector<std::string> names =
+      bench::parse_args_or_exit(argc, argv, "", true).names;
   if (names.empty())
     names = {"z4ml", "adr4", "add6", "rd53",   "rd84",     "9sym", "t481",
              "mlp4", "cmb",  "co14", "squar5", "majority", "cm85a"};

@@ -15,13 +15,14 @@
 #include "baseline/script.hpp"
 #include "benchgen/spec.hpp"
 #include "core/synth.hpp"
+#include "harness.hpp"
 #include "mapping/mapper.hpp"
 #include "network/stats.hpp"
 
 int main(int argc, char** argv) {
   using namespace rmsyn;
-  std::vector<std::string> names;
-  for (int i = 1; i < argc; ++i) names.emplace_back(argv[i]);
+  std::vector<std::string> names =
+      bench::parse_args_or_exit(argc, argv, "", true).names;
   if (names.empty())
     names = {"z4ml", "adr4", "add6", "my_adder", "mlp4",     "rd53",
              "rd84", "9sym", "t481", "cm85a",    "majority", "parity"};

@@ -13,12 +13,13 @@
 #include "core/redundancy.hpp"
 #include "core/synth.hpp"
 #include "fdd/esop.hpp"
+#include "harness.hpp"
 #include "network/stats.hpp"
 
 int main(int argc, char** argv) {
   using namespace rmsyn;
-  std::vector<std::string> names;
-  for (int i = 1; i < argc; ++i) names.emplace_back(argv[i]);
+  std::vector<std::string> names =
+      bench::parse_args_or_exit(argc, argv, "", true).names;
   if (names.empty())
     names = {"z4ml", "adr4", "rd53", "rd73", "rd84",   "9sym",     "t481",
              "f2",   "cmb",  "co14", "f51m", "squar5", "majority", "cm85a",

@@ -13,12 +13,13 @@
 #include "core/redundancy.hpp"
 #include "core/synth.hpp"
 #include "fdd/kfdd.hpp"
+#include "harness.hpp"
 #include "network/stats.hpp"
 
 int main(int argc, char** argv) {
   using namespace rmsyn;
-  std::vector<std::string> names;
-  for (int i = 1; i < argc; ++i) names.emplace_back(argv[i]);
+  std::vector<std::string> names =
+      bench::parse_args_or_exit(argc, argv, "", true).names;
   if (names.empty())
     names = {"z4ml", "adr4", "rd53",  "rd84", "t481",  "majority", "cm85a",
              "cmb",  "co14", "pcle",  "m181", "pm1",   "i1",       "shift",

@@ -5,50 +5,22 @@
 //
 // Emits a machine-readable BENCH_governor.json for CI tracking.
 //
-// Usage: bench_governor [--out file.json] [--max-overhead pct] [circuit ...]
-//        (default: BENCH_governor.json, all Table-2 circuits, 2% gate;
-//         --max-overhead 0 disables the gate for very noisy hosts)
+// Usage: bench_governor [--out FILE] [circuit ...]
+//        (default: BENCH_governor.json, all Table-2 circuits)
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "flow/flow.hpp"
-#include "util/stopwatch.hpp"
-
-namespace {
-
-struct Result {
-  std::string name;
-  double plain_seconds = 0.0;    // no governor attached
-  double governed_seconds = 0.0; // unlimited governor polled throughout
-  std::size_t plain_lits = 0;
-  std::size_t governed_lits = 0;
-};
-
-double run_once(const std::string& name, const rmsyn::FlowOptions& opt,
-                std::size_t* lits_out) {
-  rmsyn::Stopwatch sw;
-  const rmsyn::FlowRow row = rmsyn::run_flow(name, opt);
-  if (lits_out != nullptr) *lits_out = row.ours_lits;
-  return sw.seconds();
-}
-
-} // namespace
+#include "harness.hpp"
 
 int main(int argc, char** argv) {
   using namespace rmsyn;
-  std::string path = "BENCH_governor.json";
-  double max_overhead_pct = 2.0;
-  std::vector<std::string> names;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) path = argv[++i];
-    else if (arg == "--max-overhead" && i + 1 < argc)
-      max_overhead_pct = std::atof(argv[++i]);
-    else names.emplace_back(arg);
-  }
-  if (names.empty()) names = benchmark_names();
+  const bench::Args args =
+      bench::parse_args_or_exit(argc, argv, "BENCH_governor.json", true);
+  const std::vector<std::string> names =
+      args.names.empty() ? benchmark_names() : args.names;
+  constexpr double kMaxOverheadPct = 2.0;
 
   FlowOptions plain;
   plain.run_mapping = false;
@@ -60,80 +32,50 @@ int main(int argc, char** argv) {
   governed.limits.deadline_seconds = 1e9;
   governed.limits.node_limit = std::size_t{1} << 60;
 
-  constexpr int kReps = 3; // keep the min per config: robust against noise
-  std::vector<Result> results;
-  for (const auto& name : names) {
-    Result r;
-    r.name = name;
-    r.plain_seconds = 1e30;
-    r.governed_seconds = 1e30;
-    // Interleave configs so cache/frequency drift hits both equally.
-    for (int rep = 0; rep < kReps; ++rep) {
-      const double tp = run_once(name, plain, &r.plain_lits);
-      if (tp < r.plain_seconds) r.plain_seconds = tp;
-      const double tg = run_once(name, governed, &r.governed_lits);
-      if (tg < r.governed_seconds) r.governed_seconds = tg;
-    }
-    results.push_back(r);
-  }
-
   std::printf("== Governor overhead (Table-2 sweep, both flows) ==\n");
   std::printf("%-10s %10s %10s %9s\n", "circuit", "plain(s)", "governed",
               "overhead");
+  obs::Json results = obs::Json::array();
   double sum_plain = 0, sum_governed = 0;
   bool lits_match = true;
-  for (const auto& r : results) {
-    sum_plain += r.plain_seconds;
-    sum_governed += r.governed_seconds;
-    lits_match &= r.plain_lits == r.governed_lits;
-    std::printf("%-10s %10.4f %10.4f %8.2f%%%s\n", r.name.c_str(),
-                r.plain_seconds, r.governed_seconds,
-                r.plain_seconds > 0
-                    ? 100.0 * (r.governed_seconds / r.plain_seconds - 1.0)
-                    : 0.0,
-                r.plain_lits == r.governed_lits ? "" : "  LITS DIFFER");
+  for (const auto& name : names) {
+    std::size_t plain_lits = 0, governed_lits = 0;
+    // Min of 3 interleaved runs per config: robust against noise.
+    const auto [p, g] = bench::sample(
+        3, bench::Warmup::None,
+        [&] { plain_lits = run_flow(name, plain).ours_lits; },
+        [&] { governed_lits = run_flow(name, governed).ours_lits; });
+    const double plain_s = p.min(), governed_s = g.min();
+    sum_plain += plain_s;
+    sum_governed += governed_s;
+    lits_match &= plain_lits == governed_lits;
+    std::printf("%-10s %10.4f %10.4f %8.2f%%%s\n", name.c_str(), plain_s,
+                governed_s,
+                plain_s > 0 ? 100.0 * (governed_s / plain_s - 1.0) : 0.0,
+                plain_lits == governed_lits ? "" : "  LITS DIFFER");
+    results.push_back(bench::object({{"name", name},
+                                     {"plain_seconds", plain_s},
+                                     {"governed_seconds", governed_s},
+                                     {"lits", governed_lits}}));
   }
   const double overhead_pct =
       sum_plain > 0 ? 100.0 * (sum_governed / sum_plain - 1.0) : 0.0;
-  std::printf("\nTotal: plain %.3fs, governed %.3fs, overhead %.2f%% "
-              "(target < 2%%)\n",
-              sum_plain, sum_governed, overhead_pct);
-  if (!lits_match)
-    std::printf("WARNING: an unlimited governor changed a result — "
-                "it must be observation-only\n");
+  std::printf("\nTotal: plain %.3fs, governed %.3fs\n", sum_plain,
+              sum_governed);
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"governor\",\n  \"overhead_pct\": %.3f,\n"
-                  "  \"plain_seconds\": %.6f,\n  \"governed_seconds\": %.6f,\n"
-                  "  \"results_identical\": %s,\n  \"results\": [\n",
-               overhead_pct, sum_plain, sum_governed,
-               lits_match ? "true" : "false");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"plain_seconds\": %.6f, "
-                 "\"governed_seconds\": %.6f, \"lits\": %zu}%s\n",
-                 r.name.c_str(), r.plain_seconds, r.governed_seconds,
-                 r.governed_lits, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-
-  // Gate: the governor must be observation-only (lits identical) AND its
-  // polling must stay under the overhead budget. min-of-3 per config keeps
-  // the measurement robust; --max-overhead 0 disables the time gate on
-  // hosts too noisy to measure 2%.
-  if (!lits_match) return 1;
-  if (max_overhead_pct > 0.0 && overhead_pct > max_overhead_pct) {
-    std::fprintf(stderr,
-                 "FAIL: governor overhead %.2f%% exceeds the %.2f%% budget\n",
-                 overhead_pct, max_overhead_pct);
-    return 1;
-  }
-  return 0;
+  // The governor must be observation-only (lits identical) AND its polling
+  // must stay under the overhead budget.
+  bench::Gates gates;
+  gates.check(lits_match, "an unlimited governor leaves every result as is");
+  gates.check(overhead_pct <= kMaxOverheadPct,
+              "governor overhead %.2f%% (budget %.2f%%)", overhead_pct,
+              kMaxOverheadPct);
+  return bench::finish(args,
+                       bench::bench_doc("governor",
+                                        {{"overhead_pct", overhead_pct},
+                                         {"plain_seconds", sum_plain},
+                                         {"governed_seconds", sum_governed},
+                                         {"results_identical", lits_match},
+                                         {"results", results}}),
+                       gates);
 }

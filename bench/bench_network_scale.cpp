@@ -1,7 +1,7 @@
 // Large-network scaling bench for the SoA core: generates a wide array
 // multiplier, pushes it through the whole parse -> stats -> simulate ->
 // redundancy pipeline, and gates CI on a nodes/sec floor for the
-// simulator plus a peak-RSS ceiling for the run. The default circuit is
+// simulator plus a peak-RSS ceiling for the run. The circuit is
 // mult132 (103,754 nodes) — the smallest ~128-bit multiplier that clears
 // the >= 100k-node floor the bench also gates on (mult128 is 97,538).
 // The parse stage is a binary AIGER round-trip, so reader and writer are
@@ -10,32 +10,23 @@
 //
 // Emits a machine-readable BENCH_network_scale.json for CI tracking.
 //
-// Usage: bench_network_scale [--out file.json] [--circuit multN|adderN]
-//        [--min-nodes X] [--min-nodes-per-sec X] [--max-rss-mb M]
-//        [--patterns N]
-//        (default: BENCH_network_scale.json, mult132, 100000, 1e6, 3000, 256)
-#include <chrono>
+// Usage: bench_network_scale [--out FILE]
+//        (default: BENCH_network_scale.json)
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "benchgen/spec.hpp"
 #include "core/redundancy.hpp"
+#include "harness.hpp"
 #include "network/io.hpp"
 #include "network/simulate.hpp"
 #include "network/stats.hpp"
 #include "util/governor.hpp"
 #include "util/osinfo.hpp"
+#include "util/stopwatch.hpp"
 
 namespace {
-
-using rmsyn::peak_rss_mb;
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct Stage {
   const char* name;
@@ -50,33 +41,21 @@ struct Stage {
 
 int main(int argc, char** argv) {
   using namespace rmsyn;
-  std::string path = "BENCH_network_scale.json";
-  std::string circuit = "mult132";
-  std::size_t min_nodes = 100000;
-  double min_nodes_per_sec = 1e6;
-  double max_rss_mb = 3000.0;
-  std::size_t num_patterns = 256;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) path = argv[++i];
-    else if (arg == "--circuit" && i + 1 < argc) circuit = argv[++i];
-    else if (arg == "--min-nodes" && i + 1 < argc)
-      min_nodes = static_cast<std::size_t>(std::stoul(argv[++i]));
-    else if (arg == "--min-nodes-per-sec" && i + 1 < argc)
-      min_nodes_per_sec = std::stod(argv[++i]);
-    else if (arg == "--max-rss-mb" && i + 1 < argc)
-      max_rss_mb = std::stod(argv[++i]);
-    else if (arg == "--patterns" && i + 1 < argc)
-      num_patterns = static_cast<std::size_t>(std::stoul(argv[++i]));
-  }
+  const bench::Args args =
+      bench::parse_args_or_exit(argc, argv, "BENCH_network_scale.json", false);
+  const std::string circuit = "mult132";
+  constexpr std::size_t kMinNodes = 100000;
+  constexpr double kMinNodesPerSec = 1e6;
+  constexpr double kMaxRssMb = 3000.0;
+  constexpr std::size_t kPatterns = 256;
 
   std::vector<Stage> stages;
 
   // ---- generate --------------------------------------------------------
   Stage gen{"generate"};
-  double t0 = now_seconds();
+  Stopwatch sw;
   Network net = make_benchmark(circuit).spec;
-  gen.seconds = now_seconds() - t0;
+  gen.seconds = sw.seconds();
   gen.nodes = net.node_count();
   stages.push_back(gen);
   std::printf("%-10s %8zu nodes in %7.3fs (%.2fM nodes/s)\n", gen.name,
@@ -84,10 +63,10 @@ int main(int argc, char** argv) {
 
   // ---- parse (binary AIGER round-trip) ---------------------------------
   Stage parse{"aiger_roundtrip"};
-  t0 = now_seconds();
+  sw.restart();
   const std::string aig = write_aiger_string(net, /*binary=*/true);
   Network reread = read_aiger_string(aig);
-  parse.seconds = now_seconds() - t0;
+  parse.seconds = sw.seconds();
   parse.nodes = reread.node_count();
   stages.push_back(parse);
   std::printf("%-10s %8zu nodes in %7.3fs (%.2fM nodes/s, %zu KB)\n",
@@ -96,9 +75,9 @@ int main(int argc, char** argv) {
 
   // ---- stats -----------------------------------------------------------
   Stage st{"stats"};
-  t0 = now_seconds();
+  sw.restart();
   const NetworkStats ns = network_stats(net);
-  st.seconds = now_seconds() - t0;
+  st.seconds = sw.seconds();
   st.nodes = net.node_count();
   stages.push_back(st);
   std::printf("%-10s %8zu gates2, depth %zu in %7.3fs\n", st.name, ns.gates2,
@@ -107,15 +86,15 @@ int main(int argc, char** argv) {
   // ---- simulate (carries the nodes/sec gate) ---------------------------
   Stage sim{"simulate"};
   const PatternSet patterns =
-      random_patterns(net.pi_count(), num_patterns, 0x5CA1E);
-  t0 = now_seconds();
+      random_patterns(net.pi_count(), kPatterns, 0x5CA1E);
+  sw.restart();
   const auto values = simulate(net, patterns);
-  sim.seconds = now_seconds() - t0;
+  sim.seconds = sw.seconds();
   sim.nodes = net.node_count();
   stages.push_back(sim);
   std::printf("%-10s %8zu nodes in %7.3fs (%.2fM nodes/s, %zu patterns)\n",
               sim.name, sim.nodes, sim.seconds, sim.nodes_per_sec() / 1e6,
-              num_patterns);
+              kPatterns);
 
   // ---- redundancy under a governed budget ------------------------------
   // The exact (BDD) decisions cannot finish on a 100k-node multiplier;
@@ -130,9 +109,9 @@ int main(int argc, char** argv) {
   ropt.governor = &governor;
   ropt.max_patterns = 1024;
   RedundancyStats rstats;
-  t0 = now_seconds();
+  sw.restart();
   const Network reduced = remove_xor_redundancy(net, {}, ropt, &rstats);
-  red.seconds = now_seconds() - t0;
+  red.seconds = sw.seconds();
   red.nodes = reduced.node_count();
   stages.push_back(red);
   std::printf("%-10s %8zu -> %zu nodes in %7.3fs (budget %s)\n", red.name,
@@ -143,59 +122,33 @@ int main(int argc, char** argv) {
   const double sim_rate = sim.nodes_per_sec();
   std::printf("peak RSS %.1f MB\n", rss);
 
-  bool gate_ok = true;
-  if (gen.nodes < min_nodes) {
-    std::printf("GATE FAILED: circuit has %zu nodes < required %zu\n",
-                gen.nodes, min_nodes);
-    gate_ok = false;
-  }
-  if (sim_rate < min_nodes_per_sec) {
-    std::printf("GATE FAILED: simulate %.0f nodes/s < required %.0f\n",
-                sim_rate, min_nodes_per_sec);
-    gate_ok = false;
-  } else {
-    std::printf("gate ok: simulate %.2fM nodes/s >= %.2fM\n", sim_rate / 1e6,
-                min_nodes_per_sec / 1e6);
-  }
-  if (rss > max_rss_mb) {
-    std::printf("GATE FAILED: peak RSS %.1f MB > ceiling %.1f MB\n", rss,
-                max_rss_mb);
-    gate_ok = false;
-  } else {
-    std::printf("gate ok: peak RSS %.1f MB <= %.1f MB\n", rss, max_rss_mb);
-  }
+  bench::Gates gates;
+  gates.check(gen.nodes >= kMinNodes, "%s has %zu nodes (required %zu)",
+              circuit.c_str(), gen.nodes, kMinNodes);
+  gates.check(sim_rate >= kMinNodesPerSec,
+              "simulate %.2fM nodes/s (required %.2fM)", sim_rate / 1e6,
+              kMinNodesPerSec / 1e6);
+  gates.check(rss <= kMaxRssMb, "peak RSS %.1f MB (ceiling %.1f MB)", rss,
+              kMaxRssMb);
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"network_scale\",\n"
-               "  \"circuit\": \"%s\",\n"
-               "  \"patterns\": %zu,\n"
-               "  \"min_nodes\": %zu,\n"
-               "  \"min_nodes_per_sec\": %.0f,\n"
-               "  \"max_rss_mb\": %.1f,\n"
-               "  \"peak_rss_mb\": %.1f,\n"
-               "  \"gates2\": %zu,\n"
-               "  \"depth\": %zu,\n"
-               "  \"governor_tripped\": %s,\n  \"stages\": [\n",
-               circuit.c_str(), num_patterns, min_nodes, min_nodes_per_sec,
-               max_rss_mb,
-               rss, ns.gates2, ns.depth,
-               governor.exhausted() ? "true" : "false");
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    const Stage& s = stages[i];
-    std::fprintf(f,
-                 "    {\"stage\": \"%s\", \"nodes\": %zu, \"seconds\": %.6f, "
-                 "\"nodes_per_sec\": %.0f}%s\n",
-                 s.name, s.nodes, s.seconds, s.nodes_per_sec(),
-                 i + 1 < stages.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-
-  return gate_ok ? 0 : 1;
+  obs::Json stage_rows = obs::Json::array();
+  for (const Stage& s : stages)
+    stage_rows.push_back(bench::object({{"stage", s.name},
+                                        {"nodes", s.nodes},
+                                        {"seconds", s.seconds},
+                                        {"nodes_per_sec", s.nodes_per_sec()}}));
+  return bench::finish(
+      args,
+      bench::bench_doc("network_scale",
+                       {{"circuit", circuit},
+                        {"patterns", kPatterns},
+                        {"min_nodes", kMinNodes},
+                        {"min_nodes_per_sec", kMinNodesPerSec},
+                        {"max_rss_mb", kMaxRssMb},
+                        {"peak_rss_mb", rss},
+                        {"gates2", ns.gates2},
+                        {"depth", ns.depth},
+                        {"governor_tripped", governor.exhausted()},
+                        {"stages", stage_rows}}),
+      gates);
 }

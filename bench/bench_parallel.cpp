@@ -9,52 +9,33 @@
 // overhead); the JSON records hardware_threads so CI can judge the numbers
 // in context.
 //
-// Usage: bench_parallel [--out file.json] [circuit ...]
+// Usage: bench_parallel [--out FILE] [circuit ...]
 //        (default: BENCH_parallel.json, all Table-2 circuits)
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "flow/flow.hpp"
+#include "harness.hpp"
 #include "sched/batch.hpp"
-
-namespace {
-
-struct Run {
-  int jobs = 1;
-  double seconds = 0.0;
-  rmsyn::SchedStats sched;
-};
-
-} // namespace
 
 int main(int argc, char** argv) {
   using namespace rmsyn;
-  std::string path = "BENCH_parallel.json";
-  std::vector<std::string> names;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) path = argv[++i];
-    else names.emplace_back(arg);
-  }
-  if (names.empty()) names = benchmark_names();
+  const bench::Args args =
+      bench::parse_args_or_exit(argc, argv, "BENCH_parallel.json", true);
+  const std::vector<std::string> names =
+      args.names.empty() ? benchmark_names() : args.names;
 
   const FlowOptions fopt; // full flow: synthesis, mapping, power
-  const std::vector<int> jobs_axis = {1, 2, 4, 8};
-
-  std::vector<Run> runs;
+  obs::Json runs = obs::Json::array();
   std::vector<FlowRow> reference;
+  double serial_seconds = 0.0;
   bool identical = true;
-  for (const int jobs : jobs_axis) {
+  for (const int jobs : {1, 2, 4, 8}) {
     const BatchResult r = run_flows(names, fopt, jobs);
-    Run run;
-    run.jobs = jobs;
-    run.seconds = r.seconds;
-    run.sched = r.sched;
-    runs.push_back(run);
     if (jobs == 1) {
       reference = r.rows;
+      serial_seconds = r.seconds;
     } else {
       for (std::size_t i = 0; i < r.rows.size(); ++i) {
         const FlowRow& a = reference[i];
@@ -73,46 +54,29 @@ int main(int argc, char** argv) {
         }
       }
     }
+    const double speedup = r.seconds > 0 ? serial_seconds / r.seconds : 0.0;
     std::printf("jobs=%d: %zu circuits in %.3fs (speedup %.2fx)\n", jobs,
-                r.rows.size(), r.seconds,
-                runs.front().seconds > 0 ? runs.front().seconds / r.seconds
-                                         : 0.0);
+                r.rows.size(), r.seconds, speedup);
     if (jobs > 1) std::printf("%s", format_sched_summary(r.sched).c_str());
+    runs.push_back(
+        bench::object({{"jobs", jobs},
+                       {"seconds", r.seconds},
+                       {"speedup", speedup},
+                       {"tasks", r.sched.total_tasks()},
+                       {"steals", r.sched.total_steals()},
+                       {"busy_seconds", r.sched.total_busy_seconds()},
+                       {"idle_seconds", r.sched.total_idle_seconds()}}));
   }
   std::printf("%s", format_dd_kernel_summary(reference).c_str());
-  std::printf("results identical across jobs levels: %s\n",
-              identical ? "yes" : "NO");
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"parallel\",\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"circuits\": %zu,\n"
-               "  \"results_identical\": %s,\n  \"runs\": [\n",
-               std::thread::hardware_concurrency(), names.size(),
-               identical ? "true" : "false");
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const Run& r = runs[i];
-    std::fprintf(f,
-                 "    {\"jobs\": %d, \"seconds\": %.6f, \"speedup\": %.4f, "
-                 "\"tasks\": %llu, \"steals\": %llu, "
-                 "\"busy_seconds\": %.6f, \"idle_seconds\": %.6f}%s\n",
-                 r.jobs, r.seconds,
-                 r.seconds > 0 ? runs.front().seconds / r.seconds : 0.0,
-                 static_cast<unsigned long long>(r.sched.total_tasks()),
-                 static_cast<unsigned long long>(r.sched.total_steals()),
-                 r.sched.total_busy_seconds(), r.sched.total_idle_seconds(),
-                 i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
 
   // The gate is determinism, not speedup: wall clock depends on the host,
   // bit-identical rows must hold everywhere.
-  return identical ? 0 : 1;
+  bench::Gates gates;
+  gates.check(identical, "results identical across --jobs 1/2/4/8");
+  return bench::finish(args,
+                       bench::bench_doc("parallel",
+                                        {{"circuits", names.size()},
+                                         {"results_identical", identical},
+                                         {"runs", runs}}),
+                       gates);
 }

@@ -21,11 +21,12 @@
 #include "benchgen/spec.hpp"
 #include "core/parity_analysis.hpp"
 #include "equiv/equiv.hpp"
+#include "harness.hpp"
 
 int main(int argc, char** argv) {
   using namespace rmsyn;
-  std::vector<std::string> names;
-  for (int i = 1; i < argc; ++i) names.emplace_back(argv[i]);
+  std::vector<std::string> names =
+      bench::parse_args_or_exit(argc, argv, "", true).names;
   if (names.empty())
     names = {"z4ml", "adr4", "rd53", "rd73", "majority",
              "t481", "9sym", "f2",   "cm82a"};

@@ -7,53 +7,37 @@
 //
 // Emits a machine-readable BENCH_resilience.json for CI tracking.
 //
-// Usage: bench_resilience [--out file.json] [--max-overhead pct]
-//                         [circuit ...]
-//        (default: BENCH_resilience.json, all Table-2 circuits, 2% gate;
-//         --max-overhead 0 disables the gate for very noisy hosts)
+// Usage: bench_resilience [--out FILE] [circuit ...]
+//        (default: BENCH_resilience.json, all Table-2 circuits)
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "sched/batch.hpp"
-#include "sched/journal.hpp"
-#include "util/stopwatch.hpp"
 
 namespace {
 
-double run_batch(const std::vector<rmsyn::Benchmark>& benches,
-                 const rmsyn::BatchOptions& opt, std::size_t* lits_out) {
+std::size_t total_lits(const std::vector<rmsyn::Benchmark>& benches,
+                       const rmsyn::BatchOptions& opt) {
   rmsyn::BatchRunner runner(opt);
-  rmsyn::Stopwatch sw;
-  const rmsyn::BatchResult result = runner.run(benches);
-  const double seconds = sw.seconds();
-  if (lits_out != nullptr) {
-    *lits_out = 0;
-    for (const rmsyn::FlowRow& row : result.rows) *lits_out += row.ours_lits;
-  }
-  return seconds;
+  std::size_t lits = 0;
+  for (const rmsyn::FlowRow& row : runner.run(benches).rows)
+    lits += row.ours_lits;
+  return lits;
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
   using namespace rmsyn;
-  std::string path = "BENCH_resilience.json";
-  double max_overhead_pct = 2.0;
-  std::vector<std::string> names;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) path = argv[++i];
-    else if (arg == "--max-overhead" && i + 1 < argc)
-      max_overhead_pct = std::atof(argv[++i]);
-    else names.emplace_back(arg);
-  }
-  if (names.empty()) names = benchmark_names();
+  const bench::Args args =
+      bench::parse_args_or_exit(argc, argv, "BENCH_resilience.json", true);
+  constexpr double kMaxOverheadPct = 2.0;
 
   std::vector<Benchmark> benches;
-  benches.reserve(names.size());
-  for (const auto& n : names) benches.push_back(make_benchmark(n));
+  for (const auto& n : args.names.empty() ? benchmark_names() : args.names)
+    benches.push_back(make_benchmark(n));
 
   BatchOptions plain;
   plain.flow.run_mapping = false;
@@ -61,56 +45,42 @@ int main(int argc, char** argv) {
 
   BatchOptions armed = plain;
   armed.retries = 2; // retry loop active per row; never fires on a clean run
-  const std::string journal_path = path + ".journal.tmp";
+  const std::string journal_path = args.out + ".journal.tmp";
   armed.journal_path = journal_path;
 
-  constexpr int kReps = 3; // keep the min per config: robust against noise
-  double plain_seconds = 1e30, armed_seconds = 1e30;
+  // Min of 3 interleaved runs per config: robust against noise.
   std::size_t plain_lits = 0, armed_lits = 0;
-  // Interleave configs so cache/frequency drift hits both equally.
-  for (int rep = 0; rep < kReps; ++rep) {
-    const double tp = run_batch(benches, plain, &plain_lits);
-    if (tp < plain_seconds) plain_seconds = tp;
-    std::remove(journal_path.c_str()); // each armed rep journals fresh
-    const double ta = run_batch(benches, armed, &armed_lits);
-    if (ta < armed_seconds) armed_seconds = ta;
-  }
+  const auto [p, a] = bench::sample(
+      3, bench::Warmup::None,
+      [&] { plain_lits = total_lits(benches, plain); },
+      [&] {
+        std::remove(journal_path.c_str()); // each armed rep journals fresh
+        armed_lits = total_lits(benches, armed);
+      });
   std::remove(journal_path.c_str());
+  const double plain_seconds = p.min(), armed_seconds = a.min();
 
   const bool lits_match = plain_lits == armed_lits;
   const double overhead_pct =
       plain_seconds > 0 ? 100.0 * (armed_seconds / plain_seconds - 1.0) : 0.0;
   std::printf("== Resilience overhead (batch sweep, both flows) ==\n");
-  std::printf("circuits: %zu   plain %.3fs   journal+retries %.3fs   "
-              "overhead %.2f%% (target < 2%%)\n",
-              benches.size(), plain_seconds, armed_seconds, overhead_pct);
-  if (!lits_match)
-    std::printf("WARNING: arming the resilience layer changed a result — "
-                "it must be observation-only on clean runs\n");
+  std::printf("circuits: %zu   plain %.3fs   journal+retries %.3fs\n",
+              benches.size(), plain_seconds, armed_seconds);
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"resilience\",\n  \"overhead_pct\": %.3f,\n"
-               "  \"plain_seconds\": %.6f,\n  \"armed_seconds\": %.6f,\n"
-               "  \"circuits\": %zu,\n  \"results_identical\": %s\n}\n",
-               overhead_pct, plain_seconds, armed_seconds, benches.size(),
-               lits_match ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-
-  // Gate: journaling + retry plumbing must not change results and must
-  // stay under the overhead budget on a clean run.
-  if (!lits_match) return 1;
-  if (max_overhead_pct > 0.0 && overhead_pct > max_overhead_pct) {
-    std::fprintf(stderr,
-                 "FAIL: resilience overhead %.2f%% exceeds the %.2f%% "
-                 "budget\n",
-                 overhead_pct, max_overhead_pct);
-    return 1;
-  }
-  return 0;
+  // Journaling + retry plumbing must not change results and must stay
+  // under the overhead budget on a clean run.
+  bench::Gates gates;
+  gates.check(lits_match, "arming the resilience layer leaves every result "
+                          "as is");
+  gates.check(overhead_pct <= kMaxOverheadPct,
+              "resilience overhead %.2f%% (budget %.2f%%)", overhead_pct,
+              kMaxOverheadPct);
+  return bench::finish(args,
+                       bench::bench_doc("resilience",
+                                        {{"overhead_pct", overhead_pct},
+                                         {"plain_seconds", plain_seconds},
+                                         {"armed_seconds", armed_seconds},
+                                         {"circuits", benches.size()},
+                                         {"results_identical", lits_match}}),
+                       gates);
 }

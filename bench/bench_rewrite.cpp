@@ -13,51 +13,20 @@
 //
 // Emits a machine-readable BENCH_rewrite.json for CI tracking.
 //
-// Usage: bench_rewrite [--out file.json] [--jobs N]
-//        (default: BENCH_rewrite.json, 4)
-#include <algorithm>
-#include <chrono>
+// Usage: bench_rewrite [--out FILE]   (default: BENCH_rewrite.json)
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "benchgen/spec.hpp"
 #include "equiv/equiv.hpp"
+#include "harness.hpp"
 #include "network/stats.hpp"
 #include "rewrite/rewrite.hpp"
 #include "sched/pool.hpp"
 #include "util/governor.hpp"
 
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Min-of-3 wall-clock of `fn` — the usual defense against a cold first
-/// iteration and scheduler noise.
-template <typename Fn>
-double time_min3(Fn&& fn) {
-  double best = 1e100;
-  for (int rep = 0; rep < 3; ++rep) {
-    const double t0 = now_seconds();
-    fn();
-    best = std::min(best, now_seconds() - t0);
-  }
-  return best;
-}
-
-struct Row {
-  std::string circuit;
-  std::size_t nodes = 0;
-  std::size_t lits_before = 0;
-  std::size_t lits_after = 0;
-  double seconds = 0.0;
-  double cuts_per_second = 0.0;
-  rmsyn::rw::RewriteStats stats;
-};
 
 bool networks_identical(const rmsyn::Network& a, const rmsyn::Network& b) {
   if (a.node_count() != b.node_count()) return false;
@@ -77,20 +46,16 @@ bool networks_identical(const rmsyn::Network& a, const rmsyn::Network& b) {
 
 int main(int argc, char** argv) {
   using namespace rmsyn;
-  std::string path = "BENCH_rewrite.json";
-  int jobs = 4;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) path = argv[++i];
-    else if (arg == "--jobs" && i + 1 < argc) jobs = std::stoi(argv[++i]);
-  }
+  const bench::Args args =
+      bench::parse_args_or_exit(argc, argv, "BENCH_rewrite.json", false);
+  constexpr int kJobs = 4;
 
   std::vector<std::string> names = benchmark_names();
   names.push_back("adder64");
   names.push_back("mult16");
 
-  ThreadPool pool(jobs);
-  std::vector<Row> rows;
+  ThreadPool pool(kJobs);
+  obs::Json rows = obs::Json::array();
   bool equivalent = true, identical = true, monotone = true;
   std::size_t total_before = 0, total_after = 0;
   for (const auto& name : names) {
@@ -121,83 +86,58 @@ int main(int argc, char** argv) {
     if (!networks_identical(serial, pooled)) {
       identical = false;
       std::printf("JOBS MISMATCH on %s: --jobs %d differs from serial\n",
-                  name.c_str(), jobs);
+                  name.c_str(), kJobs);
       continue;
     }
 
-    Row row;
-    row.circuit = name;
-    row.nodes = spec.node_count();
-    row.lits_before = network_stats(spec).lits;
-    row.lits_after = network_stats(serial).lits;
-    row.stats = st;
-    row.seconds = time_min3([&] {
-      Network n = spec;
-      rw::rewrite_network(n);
-    });
-    row.cuts_per_second =
-        row.seconds > 0
-            ? static_cast<double>(st.cuts_enumerated) / row.seconds
-            : 0.0;
-    if (row.lits_after > row.lits_before) {
+    const std::size_t lits_before = network_stats(spec).lits;
+    const std::size_t lits_after = network_stats(serial).lits;
+    const double seconds = bench::sample(3, bench::Warmup::None, [&] {
+                             Network n = spec;
+                             rw::rewrite_network(n);
+                           })[0].min();
+    const double cuts_per_second =
+        seconds > 0 ? static_cast<double>(st.cuts_enumerated) / seconds : 0.0;
+    if (lits_after > lits_before) {
       monotone = false;
       std::printf("COST REGRESSION on %s: %zu -> %zu lits\n", name.c_str(),
-                  row.lits_before, row.lits_after);
+                  lits_before, lits_after);
     }
-    total_before += row.lits_before;
-    total_after += row.lits_after;
+    total_before += lits_before;
+    total_after += lits_after;
     std::printf("%-10s lits %6zu -> %6zu  %3llu repl  %8.4fs  %9.0f cuts/s\n",
-                name.c_str(), row.lits_before, row.lits_after,
-                static_cast<unsigned long long>(st.replacements), row.seconds,
-                row.cuts_per_second);
+                name.c_str(), lits_before, lits_after,
+                static_cast<unsigned long long>(st.replacements), seconds,
+                cuts_per_second);
     std::fflush(stdout);
-    rows.push_back(row);
+    rows.push_back(bench::object({{"circuit", name},
+                                  {"nodes", spec.node_count()},
+                                  {"lits_before", lits_before},
+                                  {"lits_after", lits_after},
+                                  {"replacements", st.replacements},
+                                  {"db_hits", st.db_hits},
+                                  {"cuts_enumerated", st.cuts_enumerated},
+                                  {"sim_rejects", st.sim_rejects},
+                                  {"bdd_rejects", st.bdd_rejects},
+                                  {"seconds", seconds},
+                                  {"cuts_per_second", cuts_per_second}}));
   }
 
-  const bool gate_ok = equivalent && identical && monotone;
-  std::printf("total lits %zu -> %zu (saved %zu); decided equivalence %s, "
-              "--jobs %d bit-identity %s, monotone cost %s\n",
-              total_before, total_after,
-              total_before >= total_after ? total_before - total_after : 0,
-              equivalent ? "ok" : "FAILED", jobs,
-              identical ? "ok" : "FAILED", monotone ? "ok" : "FAILED");
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"rewrite\",\n"
-               "  \"jobs\": %d,\n"
-               "  \"equivalent\": %s,\n"
-               "  \"jobs_bit_identical\": %s,\n"
-               "  \"monotone_cost\": %s,\n"
-               "  \"total_lits_before\": %zu,\n"
-               "  \"total_lits_after\": %zu,\n  \"rows\": [\n",
-               jobs, equivalent ? "true" : "false",
-               identical ? "true" : "false", monotone ? "true" : "false",
-               total_before, total_after);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"circuit\": \"%s\", \"nodes\": %zu, \"lits_before\": %zu, "
-        "\"lits_after\": %zu, \"replacements\": %llu, \"db_hits\": %llu, "
-        "\"cuts_enumerated\": %llu, \"sim_rejects\": %llu, "
-        "\"bdd_rejects\": %llu, \"seconds\": %.6f, "
-        "\"cuts_per_second\": %.0f}%s\n",
-        r.circuit.c_str(), r.nodes, r.lits_before, r.lits_after,
-        static_cast<unsigned long long>(r.stats.replacements),
-        static_cast<unsigned long long>(r.stats.db_hits),
-        static_cast<unsigned long long>(r.stats.cuts_enumerated),
-        static_cast<unsigned long long>(r.stats.sim_rejects),
-        static_cast<unsigned long long>(r.stats.bdd_rejects), r.seconds,
-        r.cuts_per_second, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-
-  return gate_ok ? 0 : 1;
+  std::printf("total lits %zu -> %zu (saved %zu)\n", total_before,
+              total_after,
+              total_before >= total_after ? total_before - total_after : 0);
+  bench::Gates gates;
+  gates.check(equivalent, "every rewritten circuit decided equivalent");
+  gates.check(identical, "--jobs %d bit-identical to serial", kJobs);
+  gates.check(monotone, "no circuit's literal count increased");
+  return bench::finish(args,
+                       bench::bench_doc("rewrite",
+                                        {{"jobs", kJobs},
+                                         {"equivalent", equivalent},
+                                         {"jobs_bit_identical", identical},
+                                         {"monotone_cost", monotone},
+                                         {"total_lits_before", total_before},
+                                         {"total_lits_after", total_after},
+                                         {"rows", rows}}),
+                       gates);
 }

@@ -2,8 +2,8 @@
 // simulator against the incremental event-driven engine (cone-limited
 // probes + fault dropping, sim/sim.hpp) on the largest benchgen circuits
 // and gates a minimum speedup on the largest one. Detection results are
-// verified bit-identical before anything is timed — a fast wrong answer
-// fails the run outright.
+// verified bit-identical on every circuit — a fast wrong answer fails the
+// run outright.
 //
 // Two SIMD gates ride along (DESIGN.md §15):
 //  * dispatch bit-identity — every kernel target reachable on the host
@@ -11,28 +11,29 @@
 //    simulation values, fault-detection sets and cut truth tables;
 //  * throughput — full-pass patterns-per-second is measured per dispatch
 //    target on a cache-resident large circuit, and the best vectorized
-//    target must beat forced-scalar by --min-throughput-ratio (skipped
-//    when only scalar is reachable). The forced-scalar kernels are built
-//    with auto-vectorization off, so the ratio is honest.
+//    target must beat forced-scalar by 1.5x (skipped when only scalar is
+//    reachable). The forced-scalar kernels are built with
+//    auto-vectorization off, so the ratio is honest.
 //
-// Every timed section warms up once untimed, then reports the median of
+// Every gated timing warms up once untimed, then reports the median of
 // three runs — median (not min) so one lucky run cannot mask CI jitter,
-// and the warmup keeps cold caches out of the gates.
+// and the warmup keeps cold caches out of the gates. The full reference
+// is slow (seconds per call on addm4), so it is timed that way only on
+// the gated circuit; on the others its one identity-check run is the
+// reported full_seconds.
 //
 // Emits a machine-readable BENCH_sim.json for CI tracking; throughput
 // rows are labeled "<circuit>/<dispatch>" so report-diff pairs the same
 // dispatch across runs.
 //
-// Usage: bench_sim [--out file.json] [--min-speedup X] [--patterns N]
-//                  [--min-throughput-ratio X] [--tp-patterns N]
-//        (default: BENCH_sim.json, 5.0, 16384, 1.5, 2048)
+// Usage: bench_sim [--out FILE]   (default: BENCH_sim.json)
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "benchgen/spec.hpp"
+#include "harness.hpp"
 #include "network/transform.hpp"
 #include "rewrite/cuts.hpp"
 #include "sim/sim.hpp"
@@ -40,45 +41,6 @@
 #include "util/simd.hpp"
 
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// One untimed warmup run, then the median of three timed runs. The
-/// warmup takes the cold-cache/first-touch iteration out of the sample;
-/// the median keeps a single noisy CI run from deciding a gate either
-/// way (min-of-3 lets one lucky run mask a real regression).
-template <typename Fn>
-double time_med3(Fn&& fn) {
-  fn(); // warmup, untimed
-  double t[3];
-  for (int rep = 0; rep < 3; ++rep) {
-    const double t0 = now_seconds();
-    fn();
-    t[rep] = now_seconds() - t0;
-  }
-  std::sort(t, t + 3);
-  return t[1];
-}
-
-struct Row {
-  std::string circuit;
-  std::size_t nodes = 0;
-  std::size_t faults = 0;
-  std::size_t detected = 0;
-  double full_seconds = 0.0;
-  double incr_seconds = 0.0;
-  double speedup = 0.0;
-  rmsyn::SimStats stats;
-};
-
-struct ThroughputRow {
-  std::string name; ///< "<circuit>/<dispatch>" — report-diff pairing label
-  double patterns_per_second = 0.0;
-};
 
 bool same_result(const rmsyn::FaultSimResult& a,
                  const rmsyn::FaultSimResult& b) {
@@ -118,26 +80,16 @@ bool same_cuts(const std::vector<std::vector<rmsyn::rw::Cut>>& a,
 
 int main(int argc, char** argv) {
   using namespace rmsyn;
-  std::string path = "BENCH_sim.json";
-  double min_speedup = 5.0;
-  double min_tp_ratio = 1.5;
-  std::size_t num_patterns = 1 << 14;
-  std::size_t tp_patterns = 1 << 11;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) path = argv[++i];
-    else if (arg == "--min-speedup" && i + 1 < argc)
-      min_speedup = std::stod(argv[++i]);
-    else if (arg == "--patterns" && i + 1 < argc)
-      num_patterns = static_cast<std::size_t>(std::stoul(argv[++i]));
-    else if (arg == "--min-throughput-ratio" && i + 1 < argc)
-      min_tp_ratio = std::stod(argv[++i]);
-    else if (arg == "--tp-patterns" && i + 1 < argc)
-      tp_patterns = static_cast<std::size_t>(std::stoul(argv[++i]));
-  }
+  const bench::Args args =
+      bench::parse_args_or_exit(argc, argv, "BENCH_sim.json", false);
+  constexpr double kMinSpeedup = 5.0;
+  constexpr double kMinThroughputRatio = 1.5;
+  constexpr std::size_t kPatterns = 1 << 14;
+  constexpr std::size_t kThroughputPatterns = 1 << 11;
 
   const std::string default_dispatch = simd::dispatch_name();
   const std::vector<std::string> dispatches = simd::available_dispatches();
+  bench::Gates gates;
 
   // --- SIMD dispatch bit-identity gate ---------------------------------------
   // Scalar is the reference; every other reachable target must reproduce
@@ -179,62 +131,48 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::printf("dispatch identity (%zu targets): %s\n", dispatches.size(),
-              dispatch_identity ? "ok" : "FAILED");
+  gates.check(dispatch_identity, "every dispatch target (%zu) matches scalar",
+              dispatches.size());
 
   // --- patterns-per-second per dispatch target -------------------------------
   // Full-pass throughput on a cache-resident large circuit: mult16 at
-  // tp_patterns keeps the value rows around a megabyte, so the gate
-  // measures kernel speed, not DRAM bandwidth. The timed quantity is the
-  // eval pass itself (SimStats::full_pass_seconds, the denominator of
+  // kThroughputPatterns keeps the value rows around a megabyte, so the
+  // gate measures kernel speed, not DRAM bandwidth. The timed quantity is
+  // the eval pass itself (SimStats::full_pass_seconds, the denominator of
   // patterns_per_second) — construction-time allocation is
   // dispatch-independent and would only dilute the ratio.
   const std::string tp_name = "mult16";
   const Network tp_net = decompose2(strash(make_benchmark(tp_name).spec));
   const PatternSet tp_ps =
-      random_patterns(tp_net.pi_count(), tp_patterns, 0xC0DE);
-  std::vector<ThroughputRow> tp_rows;
+      random_patterns(tp_net.pi_count(), kThroughputPatterns, 0xC0DE);
+  obs::Json throughput = obs::Json::array();
   double scalar_pps = 0.0, best_vector_pps = 0.0;
   for (const auto& target : dispatches) {
     simd::force_dispatch(target);
-    // Enough constructions per timed run to be well above timer noise.
-    const double once = [&] {
-      SimState s(tp_net, tp_ps);
-      return s.stats().full_pass_seconds;
-    }();
+    // Enough constructions per sample to be well above timer noise.
+    const double once = SimState(tp_net, tp_ps).stats().full_pass_seconds;
     const int reps = std::max(1, static_cast<int>(0.02 / std::max(once, 1e-6)));
-    double med_pps = 0.0;
-    {
-      double samples[3];
-      const auto run = [&] {
-        double sec = 0.0;
-        for (int r = 0; r < reps; ++r) {
-          SimState s(tp_net, tp_ps);
-          sec += s.stats().full_pass_seconds;
-        }
-        return sec > 0 ? static_cast<double>(tp_patterns) * reps / sec : 0.0;
-      };
-      run(); // warmup, untimed
-      for (int rep = 0; rep < 3; ++rep) samples[rep] = run();
-      std::sort(samples, samples + 3);
-      med_pps = samples[1];
-    }
-    ThroughputRow row;
-    row.name = tp_name + "/" + target;
-    row.patterns_per_second = med_pps;
-    std::printf("throughput %-14s %10.3g patterns/s\n", row.name.c_str(),
-                row.patterns_per_second);
-    if (target == "scalar") scalar_pps = row.patterns_per_second;
-    else best_vector_pps = std::max(best_vector_pps, row.patterns_per_second);
-    tp_rows.push_back(row);
+    const double pps =
+        bench::sample(3, bench::Warmup::Once, [&] {
+          double sec = 0.0;
+          for (int r = 0; r < reps; ++r)
+            sec += SimState(tp_net, tp_ps).stats().full_pass_seconds;
+          return sec > 0 ? static_cast<double>(kThroughputPatterns) * reps / sec
+                         : 0.0;
+        })[0].median();
+    const std::string row = tp_name + "/" + target;
+    std::printf("throughput %-14s %10.3g patterns/s\n", row.c_str(), pps);
+    if (target == "scalar") scalar_pps = pps;
+    else best_vector_pps = std::max(best_vector_pps, pps);
+    throughput.push_back(
+        bench::object({{"name", row}, {"patterns_per_second", pps}}));
   }
-  bool tp_gate_ok = true;
   double tp_ratio = 0.0;
   if (best_vector_pps > 0.0 && scalar_pps > 0.0) {
     tp_ratio = best_vector_pps / scalar_pps;
-    tp_gate_ok = tp_ratio >= min_tp_ratio;
-    std::printf("%s: vectorized/scalar throughput %.2fx (required %.2fx)\n",
-                tp_gate_ok ? "gate ok" : "GATE FAILED", tp_ratio, min_tp_ratio);
+    gates.check(tp_ratio >= kMinThroughputRatio,
+                "vectorized/scalar throughput %.2fx (required %.2fx)",
+                tp_ratio, kMinThroughputRatio);
   } else {
     std::printf("throughput gate skipped: only scalar dispatch reachable\n");
   }
@@ -246,106 +184,73 @@ int main(int argc, char** argv) {
   const std::vector<std::string> names = {"mlp4", "addm4", "my_adder"};
   const std::string gated = "my_adder";
 
-  std::vector<Row> rows;
+  obs::Json rows = obs::Json::array();
   bool identical = true;
   for (const auto& name : names) {
     const Network net = decompose2(strash(make_benchmark(name).spec));
     const PatternSet patterns =
-        random_patterns(net.pi_count(), num_patterns, 0xB7A5 + net.pi_count());
+        random_patterns(net.pi_count(), kPatterns, 0xB7A5 + net.pi_count());
 
     // Correctness first: both engines must agree fault-for-fault.
-    const FaultSimResult ref = fault_simulate_full(net, patterns);
+    FaultSimResult ref;
+    double full_seconds =
+        bench::sample(1, bench::Warmup::None, [&] {
+          ref = fault_simulate_full(net, patterns);
+        })[0].min();
     FaultSimOptions opt;
     SimStats stats;
     opt.stats = &stats;
-    const FaultSimResult incr = fault_simulate(net, patterns, opt);
-    if (!same_result(ref, incr)) {
+    const FaultSimResult inc = fault_simulate(net, patterns, opt);
+    if (!same_result(ref, inc)) {
       identical = false;
       std::printf("MISMATCH on %s: full %zu/%zu vs incremental %zu/%zu\n",
-                  name.c_str(), ref.detected, ref.total, incr.detected,
-                  incr.total);
+                  name.c_str(), ref.detected, ref.total, inc.detected,
+                  inc.total);
       continue;
     }
 
-    Row row;
-    row.circuit = name;
-    row.nodes = net.node_count();
-    row.faults = ref.total;
-    row.detected = ref.detected;
-    row.stats = stats;
-    row.full_seconds =
-        time_med3([&] { (void)fault_simulate_full(net, patterns); });
-    row.incr_seconds = time_med3([&] { (void)fault_simulate(net, patterns); });
-    row.speedup =
-        row.incr_seconds > 0 ? row.full_seconds / row.incr_seconds : 0.0;
+    if (name == gated)
+      full_seconds = bench::sample(3, bench::Warmup::Once, [&] {
+                       (void)fault_simulate_full(net, patterns);
+                     })[0].median();
+    const double incr_seconds =
+        bench::sample(3, bench::Warmup::Once, [&] {
+          (void)fault_simulate(net, patterns);
+        })[0].median();
+    const double speedup = incr_seconds > 0 ? full_seconds / incr_seconds : 0.0;
     std::printf("%-10s %5zu faults (%zu detected)  full %8.4fs  "
                 "incremental %8.4fs  speedup %6.2fx\n",
-                name.c_str(), row.faults, row.detected, row.full_seconds,
-                row.incr_seconds, row.speedup);
-    rows.push_back(row);
+                name.c_str(), ref.total, ref.detected, full_seconds,
+                incr_seconds, speedup);
+    if (name == gated)
+      gates.check(speedup >= kMinSpeedup, "%s speedup %.2fx (required %.2fx)",
+                  gated.c_str(), speedup, kMinSpeedup);
+    rows.push_back(bench::object({{"circuit", name},
+                                  {"nodes", net.node_count()},
+                                  {"faults", ref.total},
+                                  {"detected", ref.detected},
+                                  {"full_seconds", full_seconds},
+                                  {"incremental_seconds", incr_seconds},
+                                  {"speedup", speedup},
+                                  {"fault_probes", stats.fault_probes},
+                                  {"cone_nodes", stats.cone_nodes},
+                                  {"faults_dropped", stats.faults_dropped},
+                                  {"blocks_skipped", stats.blocks_skipped}}));
   }
+  gates.check(identical, "incremental fault sim matches the full reference "
+                         "on every circuit");
 
-  bool gate_ok = identical && dispatch_identity && tp_gate_ok;
-  for (const Row& r : rows) {
-    if (r.circuit != gated) continue;
-    if (r.speedup < min_speedup) {
-      std::printf("GATE FAILED: %s speedup %.2fx < required %.2fx\n",
-                  gated.c_str(), r.speedup, min_speedup);
-      gate_ok = false;
-    } else {
-      std::printf("gate ok: %s speedup %.2fx >= %.2fx\n", gated.c_str(),
-                  r.speedup, min_speedup);
-    }
-  }
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"sim\",\n"
-               "  \"patterns\": %zu,\n"
-               "  \"min_speedup\": %.2f,\n"
-               "  \"gated_circuit\": \"%s\",\n"
-               "  \"results_identical\": %s,\n"
-               "  \"simd_dispatch_default\": \"%s\",\n"
-               "  \"dispatch_identity\": %s,\n"
-               "  \"min_throughput_ratio\": %.2f,\n"
-               "  \"throughput_patterns\": %zu,\n"
-               "  \"throughput_ratio\": %.4f,\n"
-               "  \"throughput\": [\n",
-               num_patterns, min_speedup, gated.c_str(),
-               identical ? "true" : "false", default_dispatch.c_str(),
-               dispatch_identity ? "true" : "false", min_tp_ratio, tp_patterns,
-               tp_ratio);
-  for (std::size_t i = 0; i < tp_rows.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"patterns_per_second\": %.1f}%s\n",
-                 tp_rows[i].name.c_str(), tp_rows[i].patterns_per_second,
-                 i + 1 < tp_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"circuit\": \"%s\", \"nodes\": %zu, \"faults\": %zu, "
-        "\"detected\": %zu, \"full_seconds\": %.6f, "
-        "\"incremental_seconds\": %.6f, \"speedup\": %.4f, "
-        "\"fault_probes\": %llu, \"cone_nodes\": %llu, "
-        "\"faults_dropped\": %llu, \"blocks_skipped\": %llu}%s\n",
-        r.circuit.c_str(), r.nodes, r.faults, r.detected, r.full_seconds,
-        r.incr_seconds, r.speedup,
-        static_cast<unsigned long long>(r.stats.fault_probes),
-        static_cast<unsigned long long>(r.stats.cone_nodes),
-        static_cast<unsigned long long>(r.stats.faults_dropped),
-        static_cast<unsigned long long>(r.stats.blocks_skipped),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-
-  return gate_ok ? 0 : 1;
+  return bench::finish(
+      args,
+      bench::bench_doc("sim", {{"patterns", kPatterns},
+                               {"min_speedup", kMinSpeedup},
+                               {"gated_circuit", gated},
+                               {"results_identical", identical},
+                               {"dispatch_identity", dispatch_identity},
+                               {"min_throughput_ratio", kMinThroughputRatio},
+                               {"throughput_patterns", kThroughputPatterns},
+                               {"throughput_ratio", tp_ratio},
+                               {"throughput", throughput},
+                               {"rows", rows}}),
+      gates);
 }
