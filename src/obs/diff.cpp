@@ -46,9 +46,12 @@ bool is_qor_key(const std::string& key) {
          contains_word(key, "depth");
 }
 
-/// Rate key: higher is better, noise band (cuts_per_second and friends).
+/// Rate key: higher is better, noise band (cuts_per_second, nodes_per_sec
+/// and friends). Checked before is_qor_key, so a rate over nodes or lits is
+/// never a zero-tolerance count.
 bool is_rate_key(const std::string& key) {
-  return contains_word(key, "per_second") || contains_word(key, "_rate");
+  return contains_word(key, "per_second") || key.ends_with("_per_sec") ||
+         contains_word(key, "_rate");
 }
 
 Verdict judge_timing(double base, double ours, const DiffOptions& opt) {

@@ -102,6 +102,12 @@ uint64_t journal_options_digest(const FlowOptions& opt) {
      << ";synth.red.fanin=" << opt.synth.redundancy.and_fanin_pass
      << ";synth.red.patterns=" << opt.synth.redundancy.max_patterns
      << ";synth.red.bddcap=" << opt.synth.redundancy.bdd_node_limit
+     << ";synth.rewrite=" << opt.synth.run_rewrite
+     << ";synth.rw.cuts=" << opt.synth.rewrite.cut_limit
+     << ";synth.rw.passes=" << opt.synth.rewrite.max_passes
+     << ";synth.rw.patterns=" << opt.synth.rewrite.sim_patterns
+     << ";synth.rw.seed=" << opt.synth.rewrite.sim_seed
+     << ";synth.rw.db=" << opt.synth.rewrite.db_path
      << ";base.redundancy=" << opt.baseline.run_redundancy_removal
      << ";base.elim=" << opt.baseline.eliminate_value
      << ";base.extract=" << opt.baseline.extract_rounds

@@ -137,6 +137,24 @@ TEST(DiffVerdicts, RatesAreHigherBetter) {
   EXPECT_EQ(run_diff(base, slower).worst, Verdict::Regress);
 }
 
+TEST(DiffVerdicts, PerSecSuffixIsARateNotACount) {
+  // bench_network_scale's stages[].nodes_per_sec names "nodes" but is a
+  // throughput: run-to-run jitter is noise, and --ignore-timing skips it.
+  const Json base = Json::parse(
+      R"({"stages": [{"name": "synthesize", "nodes_per_sec": 1000.0}]})");
+  const Json ours = Json::parse(
+      R"({"stages": [{"name": "synthesize", "nodes_per_sec": 1100.0}]})");
+  const DiffResult r = run_diff(base, ours);
+  EXPECT_EQ(r.worst, Verdict::Noise);
+  EXPECT_EQ(obs::diff_exit_code(r), 0);
+
+  DiffOptions ignore;
+  ignore.ignore_timing = true;
+  const DiffResult skipped = obs::diff_documents(base, ours, ignore);
+  EXPECT_EQ(skipped.worst, Verdict::Same);
+  EXPECT_TRUE(skipped.entries.empty());
+}
+
 TEST(DiffVerdicts, UnknownCountersAreNonGatingNoise) {
   const Json base = Json::parse(R"({"events": 100})");
   const Json ours = Json::parse(R"({"events": 90000})");

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -143,9 +144,19 @@ TEST(Journal, MissingFileThrowsParseError) {
 
 TEST(Journal, OptionsDigestTracksResultAffectingKnobs) {
   const FlowOptions base = fast_options();
-  FlowOptions changed = base;
-  changed.synth.cube_limit = base.synth.cube_limit + 1;
-  EXPECT_NE(journal_options_digest(base), journal_options_digest(changed));
+  using Tweak = void (*)(FlowOptions&);
+  for (const Tweak tweak : std::initializer_list<Tweak>{
+           [](FlowOptions& o) { o.synth.cube_limit += 1; },
+           [](FlowOptions& o) { o.synth.run_rewrite = true; },
+           [](FlowOptions& o) { o.synth.rewrite.cut_limit += 1; },
+           [](FlowOptions& o) { o.synth.rewrite.max_passes += 1; },
+           [](FlowOptions& o) { o.synth.rewrite.sim_patterns += 64; },
+           [](FlowOptions& o) { o.synth.rewrite.sim_seed += 1; },
+           [](FlowOptions& o) { o.synth.rewrite.db_path = "db.txt"; }}) {
+    FlowOptions changed = base;
+    tweak(changed);
+    EXPECT_NE(journal_options_digest(base), journal_options_digest(changed));
+  }
   // Wall-clock-only knobs are deliberately excluded.
   FlowOptions same = base;
   EXPECT_EQ(journal_options_digest(base), journal_options_digest(same));
@@ -223,23 +234,29 @@ TEST(Resilience, KillAndResumeReproducesTheUninterruptedRun) {
 
 TEST(Resilience, DigestMismatchForcesRerun) {
   const std::vector<Benchmark> benches = adder_manifest(2);
-  const std::string path = temp_path("journal_digest.jsonl");
-  BatchOptions bo;
-  bo.flow = fast_options();
-  bo.journal_path = path;
-  BatchRunner first(bo);
-  (void)first.run(benches);
-
   // Same circuits, different result-affecting options: nothing replays.
-  BatchOptions ro = bo;
-  ro.resume = true;
-  ro.flow.synth.cube_limit += 1;
-  BatchRunner resumed(ro);
-  const BatchResult rk = resumed.run(benches);
-  EXPECT_EQ(rk.rows_replayed, 0u);
-  for (const FlowRow& row : rk.rows)
-    EXPECT_FALSE(row.worst_status().is_failed()) << row.circuit;
-  std::remove(path.c_str());
+  // (A plain run's rows must not stand in for a --rewrite run's either.)
+  using Tweak = void (*)(FlowOptions&);
+  for (const Tweak tweak : std::initializer_list<Tweak>{
+           [](FlowOptions& o) { o.synth.cube_limit += 1; },
+           [](FlowOptions& o) { o.synth.run_rewrite = true; }}) {
+    const std::string path = temp_path("journal_digest.jsonl");
+    BatchOptions bo;
+    bo.flow = fast_options();
+    bo.journal_path = path;
+    BatchRunner first(bo);
+    (void)first.run(benches);
+
+    BatchOptions ro = bo;
+    ro.resume = true;
+    tweak(ro.flow);
+    BatchRunner resumed(ro);
+    const BatchResult rk = resumed.run(benches);
+    EXPECT_EQ(rk.rows_replayed, 0u);
+    for (const FlowRow& row : rk.rows)
+      EXPECT_FALSE(row.worst_status().is_failed()) << row.circuit;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(Resilience, ResumeWithoutJournalIsAFreshRun) {

@@ -1,77 +1,25 @@
-// rmsyn command-line driver.
+// rmsyn command-line driver: the paper's per-circuit script (FPRM flow,
+// SIS-style baseline, mapping, power, verify), the Table-2 sweep, manifest
+// batches and the run-report tools. Every flag is declared once, in
+// kFlags: the one parser reads it and the usage text (run without
+// arguments) is generated from it.
 //
-//   rmsyn_cli synth    <input> [-o out.blif] [--method cubes|ofdd|best]
-//                      [--no-redundancy] [--no-resub] [--rewrite]
-//                      [--trace out.json]
-//                      [--timeout sec] [--node-limit n] [--step-limit n]
-//   rmsyn_cli rewrite  <input> [-o out.blif] [--jobs N] [--passes N]
-//                      [--cut-limit N] [--db file]
-//                      [--timeout sec] [--node-limit n] [--step-limit n]
-//   rmsyn_cli rewrite-dbgen [-o out.txt]
-//   rmsyn_cli baseline <input> [-o out.blif]
-//                      [--timeout sec] [--node-limit n] [--step-limit n]
-//   rmsyn_cli map      <input> [--lib file.genlib]
-//   rmsyn_cli verify   <input-a> <input-b>
-//                      [--timeout sec] [--node-limit n] [--step-limit n]
-//   rmsyn_cli power    <input>
-//   rmsyn_cli atpg     <input> [--jobs N] [--no-drop]
-//   rmsyn_cli dump     <input> [-o out.blif]   (spec as BLIF, unsynthesized)
-//   rmsyn_cli table2   [circuit ...] [--keep-going] [--jobs N] [--retries N]
-//                      [--rewrite]
-//                      [--timeout sec] [--node-limit n] [--step-limit n]
-//                      [--trace out.json] [--report out.json]
-//                      [--profile out.folded] [--heartbeat sec]
-//   rmsyn_cli batch    <manifest> [--jobs N] [--keep-going] [--retries N]
-//                      [--journal out.jsonl | --resume journal.jsonl]
-//                      [--timeout sec] [--node-limit n] [--step-limit n]
-//                      [--batch-timeout sec] [--batch-node-limit n]
-//                      [--no-mapping] [--no-power]
-//                      [--trace out.json] [--report out.json]
-//                      [--profile out.folded] [--heartbeat sec]
-//   rmsyn_cli validate-report <report.json> <schema.json>
-//   rmsyn_cli report-diff <baseline.json> <candidate.json>
-//                      [--ignore-timing] [--noise-pct P] [--noise-floor sec]
-//   rmsyn_cli list
-//
-// <input> is a .blif file, a .pla file, or the name of a built-in Table-2
-// benchmark circuit (see `rmsyn_cli list`). The batch manifest is a text
-// file with one input per line ('#' comments and blank lines skipped).
-//
-// Resource budgets (--timeout wall-clock seconds per budget slice,
-// --node-limit peak live DD nodes, --step-limit cooperative polls) put the
-// flow on the degradation ladder instead of running unbounded; the status
-// is printed and reflected in the exit code. Exit codes are stable (see
-// util/errors.hpp and README "Exit codes"): 0 ok, 1 usage, 2 degraded,
-// 3 transient failure, 4 fatal input (parse error), 5 invariant/verify.
-//
-// Resilience (DESIGN.md §12): --retries N re-runs transient-retryable
-// failed rows with x2-escalated budget slices; batch --journal FILE
-// appends one fsync'd JSONL checkpoint per settled row; batch --resume
-// FILE replays completed journal rows and re-runs the rest; --paranoid
-// (any command) runs the deep network invariant checker after every
-// structural transform; --fault-plan seed=S,truncate=N,corrupt=N,arena=N,
-// journal=N arms deterministic fault injection for testing. --jobs N runs N circuits concurrently
-// on the work-stealing scheduler (sched/batch.hpp); every result column is
-// bit-identical to --jobs 1. --batch-timeout/--batch-node-limit are budgets
-// for the whole batch, shared by all workers.
-//
-// Observability (src/obs): --trace writes a Chrome trace-event JSON
-// (chrome://tracing / Perfetto) merged from every worker thread's spans;
-// --report writes the machine-readable run report (schema:
-// data/report_schema.json, checked by `validate-report`); --profile writes
-// a folded-stack attribution profile (flamegraph.pl / speedscope input)
-// and embeds the tree in the report; --heartbeat N prints a progress line
-// (rows done, current circuit/stage, live DD nodes) every N seconds while
-// the run is in flight. None of them perturbs the result columns.
-// `report-diff` compares two reports (or BENCH_*.json files) and exits 0
-// on no regression, 2 on a regression, 4 on schema mismatch — the CI
-// baseline gate runs it with --ignore-timing against data/baselines/.
+// <input> is a .blif/.pla/.aag/.aig file or a built-in benchmark name (see
+// `rmsyn_cli list`); table2's circuit names and the batch manifest's lines
+// ('#' comments and blank lines skipped) go through the same loader.
+// --jobs N is N threads in total: N-1 pool workers plus the helping caller.
+// README.md describes the budget, resilience, parallel and telemetry flags
+// in its "Resource budgets", "Crash-safe batches", "Parallel batches" and
+// "Telemetry" sections. Exit codes are stable (util/errors.hpp): 0 ok,
+// 1 usage, 2 degraded, 3 transient failure, 4 fatal input, 5 invariant or
+// verify.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <iostream>
+#include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -109,10 +57,158 @@ namespace {
 
 using namespace rmsyn;
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+/// A malformed command line: main prints it with the command's usage and
+/// exits 1.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// --- options -----------------------------------------------------------------
+
+/// Everything a command line can set; each subcommand reads its part.
+struct Options {
+  std::vector<std::string> operands; ///< positional arguments, in order
+  std::string out_path;              ///< -o
+  std::string lib_path;              ///< --lib
+  std::string trace_path;            ///< --trace: Chrome trace-event JSON
+  std::string report_path;           ///< --report: machine-readable report
+  std::string profile_path;          ///< --profile: folded-stack tree
+  double heartbeat_seconds = 0.0;    ///< --heartbeat: progress-line period
+  int jobs = 1;                      ///< --jobs: threads in total
+  bool keep_going = false;           ///< table2; batch always keeps going
+  bool drop_faults = true;           ///< atpg --no-drop clears it
+  /// Flow options (synth switches, per-flow limits, mapping/power) and the
+  /// batch-wide knobs (retries, journal, shared budgets).
+  BatchOptions batch;
+  rw::RewriteOptions rewrite; ///< the standalone rewrite command
+  obs::DiffOptions diff;
+
+  SynthOptions& synth() { return batch.flow.synth; }
+  ResourceLimits& limits() { return batch.flow.limits; }
+};
+
+/// Parses a positive number; `want` describes one in the error message.
+template <typename T> T parse_positive(const std::string& v, const char* want) {
+  T x{};
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, x);
+  if (ec != std::errc() || ptr != end || !(x > 0))
+    throw UsageError("bad value '" + v + "' (want " + want + ")");
+  return x;
 }
+
+double parse_seconds(const std::string& v) {
+  return parse_positive<double>(v, "seconds > 0, e.g. 0.001");
+}
+
+template <typename T = std::size_t> T parse_count(const std::string& v) {
+  return parse_positive<T>(v, "a positive integer");
+}
+
+int parse_jobs(const std::string& v) {
+  const int n = parse_count<int>(v);
+  if (n > 256) throw UsageError("at most 256 jobs");
+  return n;
+}
+
+FactorMethod parse_method(const std::string& v) {
+  if (v == "cubes") return FactorMethod::Cubes;
+  if (v == "ofdd") return FactorMethod::Ofdd;
+  if (v == "best") return FactorMethod::Best;
+  throw UsageError("bad method " + v);
+}
+
+// One bit per subcommand, in kCommands order.
+enum : unsigned {
+  kSynth = 1u << 0, kBaseline = 1u << 1, kMap = 1u << 2, kVerify = 1u << 3,
+  kPower = 1u << 4, kAtpg = 1u << 5, kDump = 1u << 6, kRewrite = 1u << 7,
+  kDbgen = 1u << 8, kTable2 = 1u << 9, kBatch = 1u << 10,
+  kValidate = 1u << 11, kDiff = 1u << 12, kList = 1u << 13,
+  kAll = (1u << 14) - 1,
+  kRuns = kTable2 | kBatch,
+  kBudgeted = kSynth | kBaseline | kVerify | kRewrite | kRuns,
+};
+
+struct Flag {
+  const char* name;
+  const char* value; ///< usage placeholder; nullptr for a switch
+  unsigned commands; ///< the subcommands that accept it
+  void (*set)(Options& o, const std::string& value);
+};
+
+const Flag kFlags[] = {
+    {"-o", "file", kSynth | kBaseline | kDump | kRewrite | kDbgen,
+     [](auto& o, auto& v) { o.out_path = v; }},
+    {"--method", "cubes|ofdd|best", kSynth,
+     [](auto& o, auto& v) { o.synth().method = parse_method(v); }},
+    {"--no-redundancy", nullptr, kSynth,
+     [](auto& o, auto&) { o.synth().run_redundancy_removal = false; }},
+    {"--no-resub", nullptr, kSynth,
+     [](auto& o, auto&) { o.synth().run_resub = false; }},
+    {"--rewrite", nullptr, kSynth | kRuns,
+     [](auto& o, auto&) { o.synth().run_rewrite = true; }},
+    {"--lib", "file.genlib", kMap, [](auto& o, auto& v) { o.lib_path = v; }},
+    {"--jobs", "N", kAtpg | kRewrite | kRuns,
+     [](auto& o, auto& v) { o.jobs = parse_jobs(v); }},
+    {"--no-drop", nullptr, kAtpg,
+     [](auto& o, auto&) { o.drop_faults = false; }},
+    {"--passes", "N", kRewrite,
+     [](auto& o, auto& v) { o.rewrite.max_passes = parse_count<int>(v); }},
+    {"--cut-limit", "N", kRewrite,
+     [](auto& o, auto& v) { o.rewrite.cut_limit = parse_count<int>(v); }},
+    {"--db", "file", kRewrite, [](auto& o, auto& v) { o.rewrite.db_path = v; }},
+    {"--keep-going", nullptr, kRuns,
+     [](auto& o, auto&) { o.keep_going = true; }},
+    {"--retries", "N", kRuns,
+     [](auto& o, auto& v) { o.batch.retries = parse_count<int>(v); }},
+    {"--journal", "out.jsonl", kBatch,
+     [](auto& o, auto& v) { o.batch.journal_path = v; }},
+    {"--resume", "journal.jsonl", kBatch,
+     [](auto& o, auto& v) {
+       o.batch.journal_path = v;
+       o.batch.resume = true;
+     }},
+    {"--no-mapping", nullptr, kBatch,
+     [](auto& o, auto&) { o.batch.flow.run_mapping = false; }},
+    {"--no-power", nullptr, kBatch,
+     [](auto& o, auto&) { o.batch.flow.run_power = false; }},
+    {"--timeout", "sec", kBudgeted,
+     [](auto& o, auto& v) { o.limits().deadline_seconds = parse_seconds(v); }},
+    {"--node-limit", "n", kBudgeted,
+     [](auto& o, auto& v) { o.limits().node_limit = parse_count(v); }},
+    {"--step-limit", "n", kBudgeted,
+     [](auto& o, auto& v) { o.limits().step_limit = parse_count(v); }},
+    {"--batch-timeout", "sec", kBatch,
+     [](auto& o, auto& v) {
+       o.batch.batch_deadline_seconds = parse_seconds(v);
+     }},
+    {"--batch-node-limit", "n", kBatch,
+     [](auto& o, auto& v) {
+       o.batch.batch_allocation_budget = parse_count(v);
+     }},
+    {"--trace", "out.json", kSynth | kRuns,
+     [](auto& o, auto& v) { o.trace_path = v; }},
+    {"--report", "out.json", kRuns,
+     [](auto& o, auto& v) { o.report_path = v; }},
+    {"--profile", "out.folded", kRuns,
+     [](auto& o, auto& v) { o.profile_path = v; }},
+    {"--heartbeat", "sec", kRuns,
+     [](auto& o, auto& v) { o.heartbeat_seconds = parse_seconds(v); }},
+    {"--ignore-timing", nullptr, kDiff,
+     [](auto& o, auto&) { o.diff.ignore_timing = true; }},
+    {"--noise-pct", "P", kDiff,
+     [](auto& o, auto& v) {
+       o.diff.seconds_noise_frac = parse_seconds(v) / 100.0;
+     }},
+    {"--noise-floor", "sec", kDiff,
+     [](auto& o, auto& v) { o.diff.seconds_noise_floor = parse_seconds(v); }},
+    {"--paranoid", nullptr, kAll,
+     [](auto&, auto&) { set_paranoid_checks(true); }},
+    {"--fault-plan", "plan", kAll,
+     [](auto&, auto& v) { install_fault_plan(FaultPlan::parse(v)); }},
+};
+
+// --- shared setup ------------------------------------------------------------
 
 /// Reads a whole file, routing the bytes through the FaultPlan's IO
 /// corruption/truncation points (a no-op unless --fault-plan armed them).
@@ -124,65 +220,76 @@ std::string load_file_bytes(const std::string& path) {
   return apply_io_faults(ss.str());
 }
 
-Network load_input(const std::string& spec) {
-  if (ends_with(spec, ".blif")) return read_blif_string(load_file_bytes(spec));
-  if (ends_with(spec, ".pla")) {
-    const PlaFile pla = read_pla_string(load_file_bytes(spec));
-    return network_from_covers(pla.outputs, pla.num_inputs);
+/// Turns a benchmark name or a .blif/.pla/.aag/.aig path into a Benchmark.
+Benchmark load_benchmark(const std::string& input) {
+  if (has_benchmark(input)) return make_benchmark(input);
+  Benchmark bench;
+  bench.name = input;
+  bench.description = "manifest input";
+  if (input.ends_with(".blif")) {
+    bench.spec = read_blif_string(load_file_bytes(input));
+  } else if (input.ends_with(".pla")) {
+    const PlaFile pla = read_pla_string(load_file_bytes(input));
+    bench.spec = network_from_covers(pla.outputs, pla.num_inputs);
+  } else if (input.ends_with(".aag") || input.ends_with(".aig")) {
+    bench.spec = read_aiger_string(load_file_bytes(input));
+  } else {
+    throw std::runtime_error("unknown input '" + input +
+                             "' (not a .blif/.pla/.aag/.aig file or "
+                             "benchmark name)");
   }
-  if (ends_with(spec, ".aag") || ends_with(spec, ".aig"))
-    return read_aiger_string(load_file_bytes(spec));
-  if (has_benchmark(spec)) return make_benchmark(spec).spec;
-  throw std::runtime_error("unknown input '" + spec +
-                           "' (not a .blif/.pla/.aag/.aig file or benchmark "
-                           "name)");
+  bench.num_inputs = static_cast<int>(bench.spec.pi_count());
+  bench.num_outputs = static_cast<int>(bench.spec.po_count());
+  return bench;
 }
 
-double parse_seconds(const std::string& flag, const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const double d = std::stod(v, &pos);
-    if (pos != v.size() || !(d > 0.0)) throw std::invalid_argument(v);
-    return d;
-  } catch (const std::exception&) {
-    throw std::runtime_error(flag + ": bad value '" + v +
-                             "' (want seconds > 0, e.g. 0.001)");
+/// A governor from the limits, or none when they are unlimited.
+std::unique_ptr<ResourceGovernor> make_governor(const Options& o) {
+  const ResourceLimits& limits = o.batch.flow.limits;
+  return limits.unlimited() ? nullptr
+                            : std::make_unique<ResourceGovernor>(limits);
+}
+
+/// --jobs N is N threads: N-1 pool workers plus the helping caller.
+std::unique_ptr<ThreadPool> make_pool(const Options& o) {
+  return o.jobs > 1 ? std::make_unique<ThreadPool>(o.jobs - 1) : nullptr;
+}
+
+/// Arms the tracer and/or the profiler a run asked for.
+void start_obs(const Options& o) {
+  if (!o.trace_path.empty()) {
+    obs::Tracer::instance().reset();
+    obs::Tracer::instance().enable();
+  }
+  if (!o.profile_path.empty()) {
+    obs::Profiler::instance().reset();
+    obs::Profiler::instance().enable();
   }
 }
 
-std::size_t parse_count(const std::string& flag, const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long n = std::stoull(v, &pos);
-    if (pos != v.size() || n == 0) throw std::invalid_argument(v);
-    return static_cast<std::size_t>(n);
-  } catch (const std::exception&) {
-    throw std::runtime_error(flag + ": bad value '" + v +
-                             "' (want a positive integer)");
+/// Writes the --trace/--profile artifacts after a run.
+void finish_obs(const Options& o) {
+  if (!o.trace_path.empty()) {
+    obs::Tracer::instance().disable();
+    obs::Tracer::instance().write_chrome_trace(o.trace_path);
+    std::printf("wrote trace %s\n", o.trace_path.c_str());
+  }
+  if (!o.profile_path.empty()) {
+    obs::Profiler::instance().disable();
+    obs::Profiler::instance().write_folded(o.profile_path);
+    std::printf("wrote profile %s\n", o.profile_path.c_str());
   }
 }
 
-/// Consumes --timeout/--node-limit/--step-limit at args[i]; returns true
-/// (with i advanced past the value) when it did.
-bool parse_limit_flag(const std::vector<std::string>& args, std::size_t& i,
-                      ResourceLimits& limits) {
-  const std::string& a = args[i];
-  if (a == "--timeout" && i + 1 < args.size()) {
-    limits.deadline_seconds = parse_seconds(a, args[++i]);
-    return true;
-  }
-  if (a == "--node-limit" && i + 1 < args.size()) {
-    limits.node_limit = parse_count(a, args[++i]);
-    return true;
-  }
-  if (a == "--step-limit" && i + 1 < args.size()) {
-    limits.step_limit = static_cast<uint64_t>(parse_count(a, args[++i]));
-    return true;
-  }
-  return false;
+/// Exit code from the worst status (stable contract, see util/errors.hpp):
+/// ok = 0, degraded = 2, failed = the taxonomy mapping of its error code
+/// (3 transient, 4 fatal input, 5 invariant/verify).
+int status_exit_code(const FlowStatus& st) {
+  if (st.severity() == 0) return ExitCode::Ok;
+  if (st.severity() == 1) return ExitCode::BudgetDegraded;
+  return st.code == ErrorCode::None ? ExitCode::TransientFailure
+                                    : exit_code_for_error(st.code);
 }
-
-int status_exit_code(const FlowStatus& st);
 
 void write_output(const Network& net, const std::string& path,
                   const std::string& model) {
@@ -193,55 +300,23 @@ void write_output(const Network& net, const std::string& path,
   std::printf("wrote %s\n", path.c_str());
 }
 
-int cmd_synth(const std::vector<std::string>& args) {
-  if (args.empty()) throw std::runtime_error("synth: missing input");
-  SynthOptions opt;
-  ResourceLimits limits;
-  std::string out_path;
-  std::string trace_path;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "-o" && i + 1 < args.size()) out_path = args[++i];
-    else if (args[i] == "--trace" && i + 1 < args.size()) trace_path = args[++i];
-    else if (args[i] == "--method" && i + 1 < args.size()) {
-      const std::string m = args[++i];
-      if (m == "cubes") opt.method = FactorMethod::Cubes;
-      else if (m == "ofdd") opt.method = FactorMethod::Ofdd;
-      else if (m == "best") opt.method = FactorMethod::Best;
-      else throw std::runtime_error("synth: bad method " + m);
-    } else if (args[i] == "--no-redundancy") {
-      opt.run_redundancy_removal = false;
-    } else if (args[i] == "--no-resub") {
-      opt.run_resub = false;
-    } else if (args[i] == "--rewrite") {
-      opt.run_rewrite = true;
-    } else if (parse_limit_flag(args, i, limits)) {
-      // consumed
-    } else {
-      throw std::runtime_error("synth: unknown option " + args[i]);
-    }
-  }
-  std::optional<ResourceGovernor> gov;
-  if (!limits.unlimited()) {
-    gov.emplace(limits);
-    opt.governor = &*gov;
-  }
-  const Network spec = load_input(args[0]);
-  if (!trace_path.empty()) {
-    obs::Tracer::instance().reset();
-    obs::Tracer::instance().enable();
-  }
+// --- single-input commands ---------------------------------------------------
+
+int cmd_synth(const Options& o) {
+  const std::string& input = o.operands[0];
+  const auto gov = make_governor(o);
+  SynthOptions opt = o.batch.flow.synth;
+  opt.governor = gov.get();
+  const Network spec = load_benchmark(input).spec;
+  start_obs(o);
   SynthReport rep;
   Network result;
   {
     RMSYN_SPAN("synth");
     result = synthesize(spec, opt, &rep);
   }
-  if (!trace_path.empty()) {
-    obs::Tracer::instance().disable();
-    obs::Tracer::instance().write_chrome_trace(trace_path);
-    std::printf("wrote trace %s\n", trace_path.c_str());
-  }
-  std::printf("synthesized %s: %s in %.3fs (status %s)\n", args[0].c_str(),
+  finish_obs(o);
+  std::printf("synthesized %s: %s in %.3fs (status %s)\n", input.c_str(),
               to_string(rep.stats).c_str(), rep.seconds,
               rep.status.to_string().c_str());
   std::printf("FPRM cubes per output:");
@@ -261,60 +336,35 @@ int cmd_synth(const std::vector<std::string>& args) {
     std::printf("%s", obs::format_metrics_summary(m).c_str());
   }
   if (!rep.stages.empty()) std::printf("%s", rep.stages.to_string().c_str());
-  write_output(result, out_path, "rmsyn_synth");
+  write_output(result, o.out_path, "rmsyn_synth");
   return status_exit_code(rep.status);
 }
 
-int cmd_baseline(const std::vector<std::string>& args) {
-  if (args.empty()) throw std::runtime_error("baseline: missing input");
-  BaselineOptions opt;
-  ResourceLimits limits;
-  std::string out_path;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "-o" && i + 1 < args.size()) out_path = args[++i];
-    else if (parse_limit_flag(args, i, limits)) {
-      // consumed
-    } else {
-      throw std::runtime_error("baseline: unknown option " + args[i]);
-    }
-  }
-  std::optional<ResourceGovernor> gov;
-  if (!limits.unlimited()) {
-    gov.emplace(limits);
-    opt.governor = &*gov;
-  }
-  const Network spec = load_input(args[0]);
+int cmd_baseline(const Options& o) {
+  const std::string& input = o.operands[0];
+  const auto gov = make_governor(o);
+  BaselineOptions opt = o.batch.flow.baseline;
+  opt.governor = gov.get();
+  const Network spec = load_benchmark(input).spec;
   BaselineReport rep;
   const Network result = baseline_synthesize(spec, opt, &rep);
   std::printf("baseline %s: %s in %.3fs (SOP lits %d -> %d, %d divisors "
               "extracted, status %s)\n",
-              args[0].c_str(), to_string(rep.stats).c_str(), rep.seconds,
+              input.c_str(), to_string(rep.stats).c_str(), rep.seconds,
               rep.sop_lits_initial, rep.sop_lits_final, rep.nodes_extracted,
               rep.status.to_string().c_str());
-  write_output(result, out_path, "rmsyn_baseline");
+  write_output(result, o.out_path, "rmsyn_baseline");
   return status_exit_code(rep.status);
 }
 
-int cmd_map(const std::vector<std::string>& args) {
-  if (args.empty()) throw std::runtime_error("map: missing input");
-  const CellLibrary* lib = &mcnc_library();
+int cmd_map(const Options& o) {
+  const std::string& input = o.operands[0];
   CellLibrary custom;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--lib" && i + 1 < args.size()) {
-      std::ifstream in(args[++i]);
-      if (!in) throw std::runtime_error("cannot open library");
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      custom = parse_genlib(ss.str());
-      lib = &custom;
-    } else {
-      throw std::runtime_error("map: unknown option " + args[i]);
-    }
-  }
-  const Network net = load_input(args[0]);
-  const MapResult r = map_network(net, *lib);
+  if (!o.lib_path.empty()) custom = parse_genlib(load_file_bytes(o.lib_path));
+  const CellLibrary& lib = o.lib_path.empty() ? mcnc_library() : custom;
+  const MapResult r = map_network(load_benchmark(input).spec, lib);
   std::printf("mapped %s: %zu cells, %zu literals, area %.1f\n",
-              args[0].c_str(), r.gate_count, r.literal_count, r.area);
+              input.c_str(), r.gate_count, r.literal_count, r.area);
   // Cell histogram.
   std::map<std::string, int> hist;
   for (const auto& g : r.gates) ++hist[g.cell];
@@ -323,17 +373,11 @@ int cmd_map(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_verify(const std::vector<std::string>& args) {
-  if (args.size() < 2) throw std::runtime_error("verify: need two inputs");
-  ResourceLimits limits;
-  for (std::size_t i = 2; i < args.size(); ++i)
-    if (!parse_limit_flag(args, i, limits))
-      throw std::runtime_error("verify: unknown option " + args[i]);
-  const Network a = load_input(args[0]);
-  const Network b = load_input(args[1]);
-  std::optional<ResourceGovernor> gov;
-  if (!limits.unlimited()) gov.emplace(limits);
-  const auto r = check_equivalence(a, b, 0xC0FFEE, gov ? &*gov : nullptr);
+int cmd_verify(const Options& o) {
+  const Network a = load_benchmark(o.operands[0]).spec;
+  const Network b = load_benchmark(o.operands[1]).spec;
+  const auto gov = make_governor(o);
+  const auto r = check_equivalence(a, b, 0xC0FFEE, gov.get());
   if (!r.decided) std::printf("UNDECIDED: %s\n", r.reason.c_str());
   else if (r.equivalent) std::printf("EQUIVALENT\n");
   else std::printf("NOT EQUIVALENT: %s\n", r.reason.c_str());
@@ -343,47 +387,27 @@ int cmd_verify(const std::vector<std::string>& args) {
   return r.equivalent ? ExitCode::Ok : ExitCode::InvariantOrVerify;
 }
 
-int cmd_power(const std::vector<std::string>& args) {
-  if (args.empty()) throw std::runtime_error("power: missing input");
-  const Network net = load_input(args[0]);
-  const PowerReport r = estimate_power(net);
+int cmd_power(const Options& o) {
+  const PowerReport r = estimate_power(load_benchmark(o.operands[0]).spec);
   std::printf("power %s: total %.4f (switching sum %.4f over %zu nets, %s "
               "probabilities)\n",
-              args[0].c_str(), r.total, r.switching_sum, r.nets,
+              o.operands[0].c_str(), r.total, r.switching_sum, r.nets,
               r.exact ? "exact BDD" : "simulated");
   return 0;
 }
 
-int parse_jobs(const std::string& flag, const std::string& v) {
-  const std::size_t n = parse_count(flag, v);
-  if (n > 256) throw std::runtime_error(flag + ": at most 256 jobs");
-  return static_cast<int>(n);
-}
-
-int cmd_atpg(const std::vector<std::string>& args) {
-  if (args.empty()) throw std::runtime_error("atpg: missing input");
-  int jobs = 1;
-  FaultSimOptions fo;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--jobs" && i + 1 < args.size())
-      jobs = parse_jobs("--jobs", args[++i]);
-    else if (args[i] == "--no-drop")
-      fo.drop_faults = false;
-    else
-      throw std::runtime_error("atpg: unknown option " + args[i]);
-  }
-  const Network spec = load_input(args[0]);
+int cmd_atpg(const Options& o) {
+  const Network spec = load_benchmark(o.operands[0]).spec;
   SynthReport rep;
   const Network net = synthesize(spec, {}, &rep);
   const PatternSet tests = fprm_pattern_set(
       net.pi_count(), rep.forms, /*include_sa1=*/true, std::size_t{1} << 16);
+  const auto pool = make_pool(o);
   SimStats stats;
+  FaultSimOptions fo;
+  fo.drop_faults = o.drop_faults;
   fo.stats = &stats;
-  std::optional<ThreadPool> pool;
-  if (jobs > 1) {
-    pool.emplace(jobs - 1); // the caller helps, as in table2/batch
-    fo.pool = &*pool;
-  }
+  fo.pool = pool.get();
   const auto sim = fault_simulate(net, tests, fo);
   std::printf("synthesized network: %zu faults, FPRM-derived test set of %zu "
               "patterns detects %zu (%.1f%% coverage)\n",
@@ -397,55 +421,24 @@ int cmd_atpg(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_dump(const std::vector<std::string>& args) {
-  if (args.empty()) throw std::runtime_error("dump: missing input");
-  std::string out_path;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "-o" && i + 1 < args.size()) out_path = args[++i];
-    else throw std::runtime_error("dump: unknown option " + args[i]);
-  }
-  const Network net = load_input(args[0]);
-  if (out_path.empty()) {
-    std::printf("%s", write_blif_string(decompose2(net), args[0]).c_str());
-  } else {
-    write_output(net, out_path, args[0]);
-  }
+int cmd_dump(const Options& o) {
+  const std::string& input = o.operands[0];
+  const Network net = load_benchmark(input).spec;
+  if (o.out_path.empty())
+    std::printf("%s", write_blif_string(decompose2(net), input).c_str());
+  else
+    write_output(net, o.out_path, input);
   return 0;
 }
 
-int cmd_rewrite(const std::vector<std::string>& args) {
-  if (args.empty()) throw std::runtime_error("rewrite: missing input");
-  rw::RewriteOptions opt;
-  ResourceLimits limits;
-  std::string out_path;
-  int jobs = 1;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "-o" && i + 1 < args.size()) out_path = args[++i];
-    else if (args[i] == "--jobs" && i + 1 < args.size())
-      jobs = parse_jobs("--jobs", args[++i]);
-    else if (args[i] == "--passes" && i + 1 < args.size())
-      opt.max_passes = static_cast<int>(parse_count("--passes", args[++i]));
-    else if (args[i] == "--cut-limit" && i + 1 < args.size())
-      opt.cut_limit = static_cast<int>(parse_count("--cut-limit", args[++i]));
-    else if (args[i] == "--db" && i + 1 < args.size())
-      opt.db_path = args[++i];
-    else if (parse_limit_flag(args, i, limits)) {
-      // consumed
-    } else {
-      throw std::runtime_error("rewrite: unknown option " + args[i]);
-    }
-  }
-  const Network spec = load_input(args[0]);
-  std::optional<ResourceGovernor> gov;
-  if (!limits.unlimited()) {
-    gov.emplace(limits);
-    opt.governor = &*gov;
-  }
-  std::optional<ThreadPool> pool;
-  if (jobs > 1) {
-    pool.emplace(jobs);
-    opt.pool = &*pool;
-  }
+int cmd_rewrite(const Options& o) {
+  const std::string& input = o.operands[0];
+  const Network spec = load_benchmark(input).spec;
+  const auto gov = make_governor(o);
+  const auto pool = make_pool(o);
+  rw::RewriteOptions opt = o.rewrite;
+  opt.governor = gov.get();
+  opt.pool = pool.get();
   Network net = spec;
   Stopwatch sw;
   const rw::RewriteStats st = rw::rewrite_network(net, opt);
@@ -456,8 +449,7 @@ int cmd_rewrite(const std::vector<std::string>& args) {
   // structural miter, and only rewritten cones reach the BDD phase, which
   // comes back undecided on exhaustion instead of hanging on BDD-hostile
   // functions like wide multipliers.
-  const auto check =
-      check_equivalence(spec, net, 0xC0FFEE, gov ? &*gov : nullptr);
+  const auto check = check_equivalence(spec, net, 0xC0FFEE, gov.get());
   if (check.decided && !check.equivalent)
     throw RmsynError(ErrorCode::VerifyMismatch,
                      "rewrite: result not equivalent to input: " +
@@ -465,21 +457,17 @@ int cmd_rewrite(const std::vector<std::string>& args) {
   obs::MetricsRegistry m;
   if (!st.empty()) stat_fields::absorb(m, "rewrite.", st);
   std::printf("%s", obs::format_metrics_summary(m).c_str());
-  std::printf("rewrite %s: %s in %.3fs (equivalence %s)\n", args[0].c_str(),
+  std::printf("rewrite %s: %s in %.3fs (equivalence %s)\n", input.c_str(),
               to_string(network_stats(net)).c_str(), seconds,
               check.decided ? "verified" : "undecided");
-  write_output(net, out_path, "rmsyn_rewrite");
-  const bool tripped =
-      gov.has_value() && gov->trip_kind() != TripKind::None;
+  write_output(net, o.out_path, "rmsyn_rewrite");
+  const bool tripped = gov && gov->trip_kind() != TripKind::None;
   return tripped ? ExitCode::BudgetDegraded : ExitCode::Ok;
 }
 
-int cmd_rewrite_dbgen(const std::vector<std::string>& args) {
-  std::string out_path = "data/rewrite_db_k4.txt";
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "-o" && i + 1 < args.size()) out_path = args[++i];
-    else throw std::runtime_error("rewrite-dbgen: unknown option " + args[i]);
-  }
+int cmd_rewrite_dbgen(const Options& o) {
+  const std::string out_path =
+      o.out_path.empty() ? "data/rewrite_db_k4.txt" : o.out_path;
   Stopwatch sw;
   const rw::RewriteDb db = rw::RewriteDb::generate();
   std::ofstream out(out_path);
@@ -498,86 +486,16 @@ int cmd_rewrite_dbgen(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// Observability switches shared by table2 and batch.
-struct RunObs {
-  std::string trace_path;   ///< --trace: Chrome trace-event JSON
-  std::string report_path;  ///< --report: machine-readable run report
-  std::string profile_path; ///< --profile: folded-stack attribution tree
-  double heartbeat_seconds = 0.0; ///< --heartbeat: progress-line period
-  bool tracing() const { return !trace_path.empty(); }
-  bool profiling() const { return !profile_path.empty(); }
-};
+// --- table2 and batch: one run path ------------------------------------------
 
-/// Consumes --trace/--report/--profile/--heartbeat at args[i]; returns
-/// true (with i advanced past the value) when it did.
-bool parse_obs_flag(const std::vector<std::string>& args, std::size_t& i,
-                    RunObs& o) {
-  const std::string& a = args[i];
-  if (a == "--trace" && i + 1 < args.size()) {
-    o.trace_path = args[++i];
-    return true;
-  }
-  if (a == "--report" && i + 1 < args.size()) {
-    o.report_path = args[++i];
-    return true;
-  }
-  if (a == "--profile" && i + 1 < args.size()) {
-    o.profile_path = args[++i];
-    return true;
-  }
-  if (a == "--heartbeat" && i + 1 < args.size()) {
-    o.heartbeat_seconds = parse_seconds(a, args[++i]);
-    return true;
-  }
-  return false;
+/// A row the batch runner never started because the budget was cancelled
+/// (keep_going=false after a failure, batch deadline, or explicit cancel).
+bool row_was_cancelled(const FlowRow& r) {
+  return r.ours_status.is_failed() && r.ours_status.stage == "batch";
 }
 
-/// Arms the tracer and/or profiler for a run (idempotent reset + enable).
-void start_tracing(const RunObs& o) {
-  if (o.tracing()) {
-    obs::Tracer::instance().reset();
-    obs::Tracer::instance().enable();
-  }
-  if (o.profiling()) {
-    obs::Profiler::instance().reset();
-    obs::Profiler::instance().enable();
-  }
-}
-
-/// Writes the --trace/--profile/--report artifacts after a run. `command`
-/// names the subcommand for the report; `sched` is null when the run was
-/// serial.
-void write_run_artifacts(const RunObs& o, const char* command, int jobs,
-                         const std::vector<FlowRow>& rows,
-                         const SchedStats* sched, double wall_seconds) {
-  if (o.tracing()) {
-    obs::Tracer::instance().disable();
-    obs::Tracer::instance().write_chrome_trace(o.trace_path);
-    std::printf("wrote trace %s\n", o.trace_path.c_str());
-  }
-  if (o.profiling()) {
-    obs::Profiler::instance().disable();
-    obs::Profiler::instance().write_folded(o.profile_path);
-    std::printf("wrote profile %s\n", o.profile_path.c_str());
-  }
-  if (o.report_path.empty()) return;
-  obs::ReportBuilder rb(command, jobs);
-  for (const FlowRow& r : rows) rb.add_row(flow_row_json(r));
-  obs::MetricsRegistry m = collect_flow_metrics(rows);
-  if (sched != nullptr) m.absorb_sched(*sched);
-  m.set("os.peak_rss_mb", peak_rss_mb());
-  rb.set_metrics(m);
-  if (o.tracing())
-    rb.set_trace(obs::Tracer::instance().summary(), wall_seconds,
-                 o.trace_path);
-  if (o.profiling())
-    rb.set_profile(obs::Profiler::instance().merged(), o.profile_path);
-  obs::write_json_file(o.report_path, rb.finish(wall_seconds));
-  std::printf("wrote report %s\n", o.report_path.c_str());
-}
-
-/// Prints the p50/p99 row-latency line batch and table2 share (the ROADMAP
-/// service-era SLO numbers, from the flow.row_seconds histogram).
+/// Prints the p50/p99 row-latency line (the ROADMAP service-era SLO
+/// numbers, from the flow.row_seconds histogram).
 void print_row_latency(const std::vector<FlowRow>& rows) {
   obs::MetricValue lat;
   lat.kind = obs::MetricKind::Histogram;
@@ -589,70 +507,88 @@ void print_row_latency(const std::vector<FlowRow>& rows) {
               static_cast<unsigned long long>(lat.count));
 }
 
-/// A row the batch runner never started because the budget was cancelled
-/// (keep_going=false after a failure, batch deadline, or explicit cancel).
-bool row_was_cancelled(const FlowRow& r) {
-  return r.ours_status.is_failed() && r.ours_status.stage == "batch";
+/// Writes the --report run report; `command` names the subcommand in it.
+void write_report(const Options& o, const char* command,
+                  const BatchResult& result, double wall_seconds) {
+  if (o.report_path.empty()) return;
+  obs::ReportBuilder rb(command, o.jobs);
+  for (const FlowRow& r : result.rows) rb.add_row(flow_row_json(r));
+  obs::MetricsRegistry m = collect_flow_metrics(result.rows);
+  if (o.jobs > 1) m.absorb_sched(result.sched);
+  m.set("os.peak_rss_mb", peak_rss_mb());
+  rb.set_metrics(m);
+  if (!o.trace_path.empty())
+    rb.set_trace(obs::Tracer::instance().summary(), wall_seconds,
+                 o.trace_path);
+  if (!o.profile_path.empty())
+    rb.set_profile(obs::Profiler::instance().merged(), o.profile_path);
+  obs::write_json_file(o.report_path, rb.finish(wall_seconds));
+  std::printf("wrote report %s\n", o.report_path.c_str());
 }
 
-/// Exit code from the worst status (stable contract, see util/errors.hpp):
-/// ok = 0, degraded = 2, failed = the taxonomy mapping of its error code
-/// (3 transient, 4 fatal input, 5 invariant/verify).
-int status_exit_code(const FlowStatus& st) {
-  if (st.severity() == 0) return ExitCode::Ok;
-  if (st.severity() == 1) return ExitCode::BudgetDegraded;
-  return st.code == ErrorCode::None ? ExitCode::TransientFailure
-                                    : exit_code_for_error(st.code);
-}
+/// What table2 and batch print around the shared run.
+struct RunOutput {
+  const char* command; ///< names the report and the trace's root span
+  /// One line per settled row, through the sink the heartbeat shares (so
+  /// concurrent writers cannot interleave mid-line); empty for none.
+  std::function<void(obs::OutputSink&, const FlowRow&)> row;
+  /// The command's own summary, printed ahead of the row-latency line; a
+  /// value ends the command with that exit code instead.
+  std::function<std::optional<int>(const BatchResult&)> summary;
+  bool resilience_line = false; ///< retries/journal counters
+  bool serial_kernel_summary = false; ///< DD-kernel line also at --jobs 1
+};
 
-int cmd_table2(const std::vector<std::string>& args) {
-  BatchOptions bopt;
-  bopt.keep_going = false;
-  RunObs obs_opt;
-  std::vector<std::string> names;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--keep-going") bopt.keep_going = true;
-    else if (args[i] == "--jobs" && i + 1 < args.size()) {
-      ++i;
-      bopt.jobs = parse_jobs("--jobs", args[i]);
-    } else if (args[i] == "--retries" && i + 1 < args.size()) {
-      ++i;
-      bopt.retries = static_cast<int>(parse_count("--retries", args[i]));
-    } else if (args[i] == "--rewrite") {
-      bopt.flow.synth.run_rewrite = true;
-    } else if (parse_limit_flag(args, i, bopt.flow.limits)) {
-      // consumed
-    } else if (parse_obs_flag(args, i, obs_opt)) {
-      // consumed
-    } else if (!args[i].empty() && args[i][0] == '-') {
-      throw std::runtime_error("table2: unknown option " + args[i]);
-    } else {
-      names.push_back(args[i]);
-    }
-  }
-  if (names.empty()) names = benchmark_names();
-  std::vector<Benchmark> benches;
-  benches.reserve(names.size());
-  for (const auto& n : names) benches.push_back(make_benchmark(n));
-
+/// The run path table2 and batch share: heartbeat, root span, BatchRunner,
+/// artifacts, then the summaries.
+int run_rows(const Options& o, BatchOptions bopt,
+             const std::vector<Benchmark>& benches, const RunOutput& out) {
+  bopt.jobs = o.jobs;
   obs::OutputSink sink;
   std::optional<obs::Heartbeat> heartbeat;
-  if (obs_opt.heartbeat_seconds > 0.0)
-    heartbeat.emplace(sink, obs_opt.heartbeat_seconds);
-  start_tracing(obs_opt);
+  if (o.heartbeat_seconds > 0.0) heartbeat.emplace(sink, o.heartbeat_seconds);
+  start_obs(o);
   Stopwatch sw;
+  BatchRunner runner(bopt);
+  if (out.row)
+    runner.on_row = [&](const FlowRow& r, std::size_t) { out.row(sink, r); };
   BatchResult result;
   {
-    RMSYN_SPAN("table2"); // root span: must close before the trace export
-    BatchRunner runner(bopt);
+    RMSYN_SPAN(out.command); // must close before the trace export
     result = runner.run(benches);
   }
   const double wall = sw.seconds();
   if (heartbeat.has_value()) heartbeat->stop();
-  write_run_artifacts(obs_opt, "table2", bopt.jobs, result.rows,
-                      bopt.jobs > 1 ? &result.sched : nullptr, wall);
+  finish_obs(o);
+  write_report(o, out.command, result, wall);
 
-  if (result.worst.is_failed() && !bopt.keep_going) {
+  if (const std::optional<int> code = out.summary(result)) return *code;
+  print_row_latency(result.rows);
+  if (out.resilience_line)
+    std::printf("resilience: %zu rows replayed from journal, %zu retries "
+                "used, %zu journal errors, %zu journal lines skipped\n",
+                result.rows_replayed, result.retries_used,
+                result.journal_errors, result.journal_skipped_lines);
+  if (out.serial_kernel_summary || o.jobs > 1)
+    std::printf("%s", format_dd_kernel_summary(result.rows).c_str());
+  if (o.jobs > 1)
+    std::printf("%s", format_sched_summary(result.sched).c_str());
+  return status_exit_code(result.worst);
+}
+
+int cmd_table2(const Options& o) {
+  const std::vector<std::string> names =
+      o.operands.empty() ? benchmark_names() : o.operands;
+  std::vector<Benchmark> benches;
+  for (const auto& n : names) benches.push_back(load_benchmark(n));
+  BatchOptions bopt = o.batch;
+  bopt.keep_going = o.keep_going;
+
+  const auto summary = [&](const BatchResult& result) -> std::optional<int> {
+    if (!result.worst.is_failed() || o.keep_going) {
+      std::printf("%s", format_table2(result.rows).c_str());
+      return std::nullopt;
+    }
     // Print what actually ran (everything up to the failure in serial
     // order; possibly more under --jobs) and abort, as the serial sweep
     // always has.
@@ -668,57 +604,18 @@ int cmd_table2(const std::vector<std::string>& args) {
     std::fprintf(stderr,
                  "table2: %s; aborting sweep (use --keep-going to continue)\n",
                  culprit.c_str());
-    return 3;
-  }
-  std::printf("%s", format_table2(result.rows).c_str());
-  print_row_latency(result.rows);
-  std::printf("%s", format_dd_kernel_summary(result.rows).c_str());
-  if (bopt.jobs > 1)
-    std::printf("%s", format_sched_summary(result.sched).c_str());
-  return status_exit_code(result.worst);
+    return ExitCode::TransientFailure;
+  };
+  return run_rows(o, bopt, benches,
+                  {.command = "table2",
+                   .row = nullptr,
+                   .summary = summary,
+                   .serial_kernel_summary = true});
 }
 
-int cmd_batch(const std::vector<std::string>& args) {
-  if (args.empty()) throw std::runtime_error("batch: missing manifest file");
-  BatchOptions bopt;
-  RunObs obs_opt;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--keep-going") bopt.keep_going = true;
-    else if (args[i] == "--jobs" && i + 1 < args.size()) {
-      ++i;
-      bopt.jobs = parse_jobs("--jobs", args[i]);
-    } else if (args[i] == "--batch-timeout" && i + 1 < args.size()) {
-      ++i;
-      bopt.batch_deadline_seconds = parse_seconds("--batch-timeout", args[i]);
-    } else if (args[i] == "--batch-node-limit" && i + 1 < args.size()) {
-      ++i;
-      bopt.batch_allocation_budget =
-          static_cast<uint64_t>(parse_count("--batch-node-limit", args[i]));
-    } else if (args[i] == "--retries" && i + 1 < args.size()) {
-      ++i;
-      bopt.retries = static_cast<int>(parse_count("--retries", args[i]));
-    } else if (args[i] == "--journal" && i + 1 < args.size()) {
-      ++i;
-      bopt.journal_path = args[i];
-    } else if (args[i] == "--resume" && i + 1 < args.size()) {
-      ++i;
-      bopt.journal_path = args[i];
-      bopt.resume = true;
-    } else if (args[i] == "--no-mapping") bopt.flow.run_mapping = false;
-    else if (args[i] == "--no-power") bopt.flow.run_power = false;
-    else if (args[i] == "--rewrite") bopt.flow.synth.run_rewrite = true;
-    else if (parse_limit_flag(args, i, bopt.flow.limits)) {
-      // consumed
-    } else if (parse_obs_flag(args, i, obs_opt)) {
-      // consumed
-    } else {
-      throw std::runtime_error("batch: unknown option " + args[i]);
-    }
-  }
-
-  // Manifest: one benchmark name or .pla/.blif path per line.
-  std::ifstream in(args[0]);
-  if (!in) throw std::runtime_error("cannot open manifest " + args[0]);
+int cmd_batch(const Options& o) {
+  std::ifstream in(o.operands[0]);
+  if (!in) throw std::runtime_error("cannot open manifest " + o.operands[0]);
   std::vector<Benchmark> benches;
   std::string line;
   while (std::getline(in, line)) {
@@ -727,32 +624,12 @@ int cmd_batch(const std::vector<std::string>& args) {
     const std::size_t a = line.find_first_not_of(" \t\r");
     if (a == std::string::npos) continue;
     const std::size_t b = line.find_last_not_of(" \t\r");
-    const std::string entry = line.substr(a, b - a + 1);
-    if (has_benchmark(entry)) {
-      benches.push_back(make_benchmark(entry));
-    } else {
-      Benchmark bench;
-      bench.name = entry;
-      bench.spec = load_input(entry);
-      bench.num_inputs = static_cast<int>(bench.spec.pi_count());
-      bench.num_outputs = static_cast<int>(bench.spec.po_count());
-      bench.description = "manifest input";
-      benches.push_back(std::move(bench));
-    }
+    benches.push_back(load_benchmark(line.substr(a, b - a + 1)));
   }
   if (benches.empty()) throw std::runtime_error("batch: empty manifest");
 
-  // Per-row status lines and heartbeat lines funnel through one sink, so
-  // concurrent writers under --jobs N cannot interleave mid-line.
-  obs::OutputSink sink;
-  std::optional<obs::Heartbeat> heartbeat;
-  if (obs_opt.heartbeat_seconds > 0.0)
-    heartbeat.emplace(sink, obs_opt.heartbeat_seconds);
-  start_tracing(obs_opt);
-  Stopwatch sw;
-  BatchRunner runner(bopt);
   std::size_t done = 0;
-  runner.on_row = [&](const FlowRow& r, std::size_t) {
+  const auto row = [&](obs::OutputSink& sink, const FlowRow& r) {
     // Rows settle in completion order under --jobs; the index printed is
     // a completion counter, not the manifest position. (The counter needs
     // no lock: on_row is already serialized by the runner's settle mutex.)
@@ -761,46 +638,34 @@ int cmd_batch(const std::vector<std::string>& args) {
                 r.worst_status().to_string().c_str(), r.ours_lits,
                 r.base_lits, r.ours_power, r.base_power);
   };
-  BatchResult result;
-  {
-    RMSYN_SPAN("batch-run"); // root span: must close before the export
-    result = runner.run(benches);
-  }
-  const double wall = sw.seconds();
-  if (heartbeat.has_value()) heartbeat->stop();
-  write_run_artifacts(obs_opt, "batch", bopt.jobs, result.rows,
-                      bopt.jobs > 1 ? &result.sched : nullptr, wall);
-
-  std::size_t ok = 0, degraded = 0, failed = 0, cancelled = 0;
-  for (const auto& r : result.rows) {
-    if (row_was_cancelled(r)) ++cancelled;
-    else if (r.worst_status().is_failed()) ++failed;
-    else if (r.worst_status().is_degraded()) ++degraded;
-    else ++ok;
-  }
-  std::printf("batch: %zu circuits in %.2fs at --jobs %d: "
-              "%zu ok, %zu degraded, %zu failed, %zu cancelled\n",
-              result.rows.size(), result.seconds, bopt.jobs, ok, degraded,
-              failed, cancelled);
-  print_row_latency(result.rows);
-  if (bopt.resume || !bopt.journal_path.empty() || bopt.retries > 0)
-    std::printf("resilience: %zu rows replayed from journal, %zu retries "
-                "used, %zu journal errors, %zu journal lines skipped\n",
-                result.rows_replayed, result.retries_used,
-                result.journal_errors, result.journal_skipped_lines);
-  if (bopt.jobs > 1) {
-    std::printf("%s", format_dd_kernel_summary(result.rows).c_str());
-    std::printf("%s", format_sched_summary(result.sched).c_str());
-  }
-  return status_exit_code(result.worst);
+  const auto summary = [&](const BatchResult& result) -> std::optional<int> {
+    std::size_t ok = 0, degraded = 0, failed = 0, cancelled = 0;
+    for (const auto& r : result.rows) {
+      if (row_was_cancelled(r)) ++cancelled;
+      else if (r.worst_status().is_failed()) ++failed;
+      else if (r.worst_status().is_degraded()) ++degraded;
+      else ++ok;
+    }
+    std::printf("batch: %zu circuits in %.2fs at --jobs %d: "
+                "%zu ok, %zu degraded, %zu failed, %zu cancelled\n",
+                result.rows.size(), result.seconds, o.jobs, ok, degraded,
+                failed, cancelled);
+    return std::nullopt;
+  };
+  return run_rows(o, o.batch, benches,
+                  {.command = "batch",
+                   .row = row,
+                   .summary = summary,
+                   .resilience_line = o.batch.resume ||
+                                      !o.batch.journal_path.empty() ||
+                                      o.batch.retries > 0});
 }
 
-int cmd_validate_report(const std::vector<std::string>& args) {
-  if (args.size() != 2)
-    throw std::runtime_error(
-        "validate-report: need <report.json> <schema.json>");
-  const obs::Json doc = obs::Json::parse(obs::read_file(args[0]));
-  const obs::Json schema = obs::Json::parse(obs::read_file(args[1]));
+// --- report tools ------------------------------------------------------------
+
+int cmd_validate_report(const Options& o) {
+  const obs::Json doc = obs::Json::parse(obs::read_file(o.operands[0]));
+  const obs::Json schema = obs::Json::parse(obs::read_file(o.operands[1]));
   std::vector<std::string> errors;
   if (!obs::validate_json(doc, schema, &errors)) {
     for (const std::string& e : errors)
@@ -814,34 +679,15 @@ int cmd_validate_report(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_report_diff(const std::vector<std::string>& args) {
-  obs::DiffOptions opt;
-  std::vector<std::string> paths;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--ignore-timing") {
-      opt.ignore_timing = true;
-    } else if (args[i] == "--noise-pct" && i + 1 < args.size()) {
-      opt.seconds_noise_frac =
-          parse_seconds("--noise-pct", args[++i]) / 100.0;
-    } else if (args[i] == "--noise-floor" && i + 1 < args.size()) {
-      opt.seconds_noise_floor = parse_seconds("--noise-floor", args[++i]);
-    } else if (!args[i].empty() && args[i][0] == '-') {
-      throw std::runtime_error("report-diff: unknown option " + args[i]);
-    } else {
-      paths.push_back(args[i]);
-    }
-  }
-  if (paths.size() != 2)
-    throw std::runtime_error(
-        "report-diff: need <baseline.json> <candidate.json>");
-  const obs::Json base = obs::Json::parse(obs::read_file(paths[0]));
-  const obs::Json ours = obs::Json::parse(obs::read_file(paths[1]));
-  const obs::DiffResult r = obs::diff_documents(base, ours, opt);
+int cmd_report_diff(const Options& o) {
+  const obs::Json base = obs::Json::parse(obs::read_file(o.operands[0]));
+  const obs::Json ours = obs::Json::parse(obs::read_file(o.operands[1]));
+  const obs::DiffResult r = obs::diff_documents(base, ours, o.diff);
   std::printf("%s", obs::format_diff(r).c_str());
   return obs::diff_exit_code(r);
 }
 
-int cmd_list() {
+int cmd_list(const Options&) {
   for (const auto& name : benchmark_names()) {
     const Benchmark b = make_benchmark(name);
     std::printf("%-10s %4d/%-4d %s%s%s\n", b.name.c_str(), b.num_inputs,
@@ -851,49 +697,116 @@ int cmd_list() {
   return 0;
 }
 
+// --- command table, parser and usage -----------------------------------------
+
+struct Command {
+  const char* name;
+  unsigned bit;
+  const char* operands; ///< usage text for the positional arguments
+  std::size_t min_operands, max_operands;
+  int (*run)(const Options&);
+};
+
+constexpr std::size_t kMany = static_cast<std::size_t>(-1);
+
+const Command kCommands[] = {
+    {"synth", kSynth, "<input>", 1, 1, cmd_synth},
+    {"baseline", kBaseline, "<input>", 1, 1, cmd_baseline},
+    {"map", kMap, "<input>", 1, 1, cmd_map},
+    {"verify", kVerify, "<input-a> <input-b>", 2, 2, cmd_verify},
+    {"power", kPower, "<input>", 1, 1, cmd_power},
+    {"atpg", kAtpg, "<input>", 1, 1, cmd_atpg},
+    {"dump", kDump, "<input>", 1, 1, cmd_dump},
+    {"rewrite", kRewrite, "<input>", 1, 1, cmd_rewrite},
+    {"rewrite-dbgen", kDbgen, "", 0, 0, cmd_rewrite_dbgen},
+    {"table2", kTable2, "[circuit ...]", 0, kMany, cmd_table2},
+    {"batch", kBatch, "<manifest>", 1, 1, cmd_batch},
+    {"validate-report", kValidate, "<report.json> <schema.json>", 2, 2,
+     cmd_validate_report},
+    {"report-diff", kDiff, "<baseline.json> <candidate.json>", 2, 2,
+     cmd_report_diff},
+    {"list", kList, "", 0, 0, cmd_list},
+};
+
+std::string flag_usage(const Flag& f) {
+  const std::string value = f.value ? std::string(" ") + f.value : "";
+  return std::string(" [") + f.name + value + "]";
+}
+
+/// Usage lines for the commands in `mask`, wrapped at 80 columns; the flags
+/// every command takes are listed once at the end.
+std::string usage(unsigned mask) {
+  std::string text = "usage:\n";
+  for (const Command& c : kCommands) {
+    if ((c.bit & mask) == 0) continue;
+    std::string line = std::string("  rmsyn_cli ") + c.name;
+    if (*c.operands != '\0') line += std::string(" ") + c.operands;
+    for (const Flag& f : kFlags) {
+      if ((f.commands & c.bit) == 0 || f.commands == kAll) continue;
+      const std::string word = flag_usage(f);
+      if (line.size() + word.size() > 79) {
+        text += line + "\n";
+        line = "     ";
+      }
+      line += word;
+    }
+    text += line + "\n";
+  }
+  text += "every command also takes";
+  for (const Flag& f : kFlags)
+    if (f.commands == kAll) text += flag_usage(f);
+  return text + "\n";
+}
+
+/// Parses the arguments after the command name: every flag must be in the
+/// table and accepted by `c`, a valued flag needs its value, and the
+/// operand count must fit `c`.
+Options parse_args(const Command& c, const std::vector<std::string>& args) {
+  Options o;
+  const std::string cmd = c.name;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& a = args[i];
+    if (a.size() < 2 || a[0] != '-') {
+      o.operands.push_back(a);
+      continue;
+    }
+    const auto f = std::find_if(std::begin(kFlags), std::end(kFlags),
+                                [&](const Flag& f) { return a == f.name; });
+    if (f == std::end(kFlags) || (f->commands & c.bit) == 0)
+      throw UsageError(cmd + ": unknown option " + a);
+    if (f->value != nullptr && i + 1 == args.size())
+      throw UsageError(cmd + ": " + a + " needs a value");
+    try {
+      f->set(o, f->value != nullptr ? args[++i] : std::string());
+    } catch (const UsageError& e) {
+      throw UsageError(a + ": " + e.what());
+    }
+  }
+  if (o.operands.size() > c.max_operands)
+    throw UsageError(cmd + ": unexpected argument " +
+                     o.operands[c.max_operands]);
+  if (o.operands.size() < c.min_operands)
+    throw UsageError(cmd + ": missing " + c.operands);
+  return o;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s synth|baseline|map|verify|power|atpg|rewrite|"
-                 "rewrite-dbgen|table2|batch|validate-report|report-diff|"
-                 "list ...\n",
-                 argv[0]);
+  const std::string name = argc >= 2 ? argv[1] : "";
+  const auto c = std::find_if(std::begin(kCommands), std::end(kCommands),
+                              [&](const Command& c) { return name == c.name; });
+  if (c == std::end(kCommands)) {
+    if (argc >= 2) std::fprintf(stderr, "unknown command %s\n", name.c_str());
+    std::fprintf(stderr, "%s", usage(kAll).c_str());
     return ExitCode::Usage;
   }
-  const std::string cmd = argv[1];
-  std::vector<std::string> args;
-  for (int i = 2; i < argc; ++i) args.emplace_back(argv[i]);
   try {
-    // Global resilience switches, valid for every subcommand.
-    for (std::size_t i = 0; i < args.size();) {
-      if (args[i] == "--paranoid") {
-        set_paranoid_checks(true);
-        args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-      } else if (args[i] == "--fault-plan" && i + 1 < args.size()) {
-        install_fault_plan(FaultPlan::parse(args[i + 1]));
-        args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                   args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-      } else {
-        ++i;
-      }
-    }
-    if (cmd == "synth") return cmd_synth(args);
-    if (cmd == "baseline") return cmd_baseline(args);
-    if (cmd == "map") return cmd_map(args);
-    if (cmd == "verify") return cmd_verify(args);
-    if (cmd == "power") return cmd_power(args);
-    if (cmd == "atpg") return cmd_atpg(args);
-    if (cmd == "dump") return cmd_dump(args);
-    if (cmd == "rewrite") return cmd_rewrite(args);
-    if (cmd == "rewrite-dbgen") return cmd_rewrite_dbgen(args);
-    if (cmd == "table2") return cmd_table2(args);
-    if (cmd == "batch") return cmd_batch(args);
-    if (cmd == "validate-report") return cmd_validate_report(args);
-    if (cmd == "report-diff") return cmd_report_diff(args);
-    if (cmd == "list") return cmd_list();
-    std::fprintf(stderr, "unknown command %s\n", cmd.c_str());
+    const Options o =
+        parse_args(*c, std::vector<std::string>(argv + 2, argv + argc));
+    return c->run(o);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n%s", e.what(), usage(c->bit).c_str());
     return ExitCode::Usage;
   } catch (const RmsynError& e) {
     std::fprintf(stderr, "error [%s]: %s\n", to_string(e.code()), e.what());
