@@ -11,6 +11,11 @@ namespace rmsyn {
 
 namespace {
 
+constexpr std::size_t kMaxKernelsPerNode = 64;
+constexpr std::size_t kMaxRounds = 64;
+/// Minimum literal saving for a kernel extraction to fire.
+constexpr int kMinValue = 1;
+
 // Orders cubes as their espresso strings ("1-0-") compare: at the lowest
 // variable where they differ, '-' < '0' < '1'.
 bool text_less(const Cube& a, const Cube& b) {
@@ -59,9 +64,9 @@ bool substitute_divisor(SopNetwork& sn, int var, const Cover& divisor, int w) {
 
 } // namespace
 
-int extract_kernels(SopNetwork& sn, const ExtractOptions& opt) {
+int extract_kernels(SopNetwork& sn, ResourceGovernor* gov) {
   int created = 0;
-  for (std::size_t round = 0; round < opt.max_rounds; ++round) {
+  for (std::size_t round = 0; round < kMaxRounds; ++round) {
     // Gather kernels of all live nodes, grouped by canonical form.
     struct Agg {
       Cover kernel{0};
@@ -72,13 +77,13 @@ int extract_kernels(SopNetwork& sn, const ExtractOptions& opt) {
     std::map<KernelKey, Agg> agg;
     bool budget_ok = true;
     for (const int n : sn.topo_nodes()) {
-      if (opt.governor != nullptr && !opt.governor->poll()) {
+      if (gov != nullptr && !gov->poll()) {
         budget_ok = false;
         break;
       }
       const Cover& f = sn.cover_of(n);
       if (f.size() < 2) continue;
-      for (const auto& k : kernels(f, opt.max_kernels_per_node)) {
+      for (const auto& k : kernels(f, kMaxKernelsPerNode)) {
         if (k.kernel.size() < 2) continue;
         auto& a = agg[canon(k.kernel)];
         if (a.nodes.empty()) {
@@ -96,7 +101,7 @@ int extract_kernels(SopNetwork& sn, const ExtractOptions& opt) {
     if (!budget_ok) break; // partial kernel census: don't extract from it
     // Best kernel by total literal saving, net of the new node's own cost.
     const Agg* best = nullptr;
-    int best_value = opt.min_value - 1;
+    int best_value = kMinValue - 1;
     for (const auto& [key, a] : agg) {
       const int value = a.saving - a.lits;
       if (value > best_value) {
@@ -117,9 +122,9 @@ int extract_kernels(SopNetwork& sn, const ExtractOptions& opt) {
   return created;
 }
 
-int extract_cubes(SopNetwork& sn, const ExtractOptions& opt) {
+int extract_cubes(SopNetwork& sn, ResourceGovernor* gov) {
   int created = 0;
-  for (std::size_t round = 0; round < opt.max_rounds; ++round) {
+  for (std::size_t round = 0; round < kMaxRounds; ++round) {
     // Count occurrences of literal pairs across all cubes of all nodes.
     // Literal index: 2v (positive) / 2v+1 (negative).
     std::map<std::pair<int, int>, int> pair_count;
@@ -127,7 +132,7 @@ int extract_cubes(SopNetwork& sn, const ExtractOptions& opt) {
     std::vector<int> lits;
     bool budget_ok = true;
     for (const int n : nodes) {
-      if (opt.governor != nullptr && !opt.governor->poll()) {
+      if (gov != nullptr && !gov->poll()) {
         budget_ok = false;
         break;
       }

@@ -8,21 +8,16 @@
 
 namespace rmsyn {
 
-struct ExtractOptions {
-  std::size_t max_kernels_per_node = 64;
-  std::size_t max_rounds = 64;
-  int min_value = 1; ///< minimum literal saving for an extraction to fire
-  /// Polled per node inside each round; extraction stops at the last
-  /// completed substitution (any prefix of rounds is a valid network).
-  ResourceGovernor* governor = nullptr;
-};
+// Both passes poll `gov` (may be null) per node inside each round; on a
+// trip extraction stops at the last completed substitution (any prefix of
+// rounds is a valid network).
 
 /// Repeatedly extracts the best-valued common kernel as a new node.
 /// Returns the number of nodes created.
-int extract_kernels(SopNetwork& sn, const ExtractOptions& opt = {});
+int extract_kernels(SopNetwork& sn, ResourceGovernor* gov = nullptr);
 
 /// Repeatedly extracts the best-valued common 2-literal cube as a new node.
 /// Returns the number of nodes created.
-int extract_cubes(SopNetwork& sn, const ExtractOptions& opt = {});
+int extract_cubes(SopNetwork& sn, ResourceGovernor* gov = nullptr);
 
 } // namespace rmsyn

@@ -16,6 +16,15 @@ namespace rmsyn {
 
 namespace {
 
+/// Rounds of the gkx/gcx extraction loop.
+constexpr std::size_t kExtractRounds = 8;
+/// The spec is collapsed to two-level SOP (the IWLS'91 PLA shape the paper
+/// fed to SIS) unless a cover would exceed this many cubes; it then stays
+/// multilevel, like the IWLS multilevel set (my_adder, the i-series, ...).
+/// The IWLS two-level benchmarks (t481 ~481 cubes, xor10 512, the
+/// arithmetic PLAs) fit; parity-like exponential covers bail out early.
+constexpr std::size_t kFlattenCubeCap = 1500;
+
 void simplify_nodes(SopNetwork& sn, ResourceGovernor* gov) {
   for (const int n : sn.topo_nodes()) {
     if (gov != nullptr && !gov->poll()) return; // keep the prefix
@@ -27,12 +36,12 @@ void simplify_nodes(SopNetwork& sn, ResourceGovernor* gov) {
 
 /// SIS-style eliminate: collapse a node into its readers when keeping it
 /// does not pay off. The value of a node is the SOP-literal growth its
-/// collapse would cause (what keeping it saves); nodes with value <=
-/// threshold are collapsed. This is what keeps XOR-chain nodes alive —
+/// collapse would cause (what keeping it saves); nodes with value <= 0 are
+/// collapsed. This is what keeps XOR-chain nodes alive —
 /// substituting an XOR cover into an XOR reader doubles the cubes — while
 /// wires, buffers and single-use AND/OR fragments are absorbed, exactly
 /// like `eliminate` in script.rugged.
-void eliminate(SopNetwork& sn, int threshold, ResourceGovernor* gov) {
+void eliminate(SopNetwork& sn, ResourceGovernor* gov) {
   bool changed = true;
   int guard = 0;
   while (changed && guard++ < 64) {
@@ -50,7 +59,7 @@ void eliminate(SopNetwork& sn, int threshold, ResourceGovernor* gov) {
       const Cover& c = sn.cover_of(n);
       if (c.size() > 16 || c.nvars() == 0) continue; // keep complements cheap
       const int value = sn.collapse_growth(n);
-      if (value <= threshold && sn.collapse_node(n)) {
+      if (value <= 0 && sn.collapse_node(n)) {
         changed = true;
         break; // fanout counts and growth values are stale; recompute
       }
@@ -70,10 +79,10 @@ Network baseline_synthesize(const Network& spec, const BaselineOptions& opt,
 
   SopNetwork sn = SopNetwork::from_network(decompose2(strash(spec)));
 
-  if (opt.flatten_to_two_level && !out_of_budget()) {
+  if (!out_of_budget()) {
     obs::ScopedStage stage(gov, sb, "baseline-flatten");
     SopNetwork flat = sn;
-    if (flat.flatten(opt.flatten_cube_cap)) sn = std::move(flat);
+    if (flat.flatten(kFlattenCubeCap)) sn = std::move(flat);
   }
 
   // sweep; simplify — espresso on every node cover.
@@ -83,24 +92,22 @@ Network baseline_synthesize(const Network& spec, const BaselineOptions& opt,
   }
   rep.sop_lits_initial = sn.literal_count();
 
-  // eliminate; the first pass uses a negative threshold (only nodes whose
-  // removal is free), as script.rugged does, then extraction runs on the
+  // eliminate only nodes whose removal is free (value <= 0), as the first
+  // pass of script.rugged does; extraction then runs on the
   // flattened-enough network.
   if (!out_of_budget()) {
     obs::ScopedStage stage(gov, sb, "baseline-eliminate");
-    eliminate(sn, opt.eliminate_value, gov);
+    eliminate(sn, gov);
     simplify_nodes(sn, gov);
   }
 
   // gkx/gcx loop.
   if (!out_of_budget()) {
     obs::ScopedStage stage(gov, sb, "baseline-extract");
-    ExtractOptions ex;
-    ex.governor = gov;
-    for (std::size_t round = 0;
-         round < opt.extract_rounds && !out_of_budget(); ++round) {
-      const int k = extract_kernels(sn, ex);
-      const int c = extract_cubes(sn, ex);
+    for (std::size_t round = 0; round < kExtractRounds && !out_of_budget();
+         ++round) {
+      const int k = extract_kernels(sn, gov);
+      const int c = extract_cubes(sn, gov);
       rep.nodes_extracted += k + c;
       if (k + c == 0) break;
     }
@@ -129,10 +136,11 @@ Network baseline_synthesize(const Network& spec, const BaselineOptions& opt,
   }
   net = strash(net);
 
-  if (opt.verify) {
-    // Undecided is acceptable for a degraded run (every pass prefix is
-    // equivalence-preserving and red_removal self-confirms its rewrites);
-    // a decided mismatch still throws.
+  {
+    // Always verified against the spec. Undecided is acceptable for a
+    // degraded run (every pass prefix is equivalence-preserving and
+    // red_removal self-confirms its rewrites); a decided mismatch still
+    // throws.
     if (gov != nullptr && gov->exhausted()) (void)gov->grant_fallback();
     obs::ScopedStage stage(gov, sb, "baseline-verify");
     const auto check = check_equivalence(spec, net, 0xC0FFEE, gov);

@@ -21,18 +21,6 @@ namespace rmsyn {
 
 struct BaselineOptions {
   bool run_redundancy_removal = true; ///< the paper's `red_removal` step
-  int eliminate_value = 0;  ///< collapse nodes whose keep-value <= this
-  std::size_t extract_rounds = 8;
-  bool verify = true; ///< check equivalence against the spec
-  /// Collapse the spec to two-level SOP first (the IWLS'91 PLA shape the
-  /// paper fed to SIS) unless any cover would exceed the cube cap — then
-  /// the spec is consumed as a multilevel network, like the circuits of the
-  /// IWLS multilevel set (my_adder, the i-series, ...).
-  bool flatten_to_two_level = true;
-  /// Cap chosen so the IWLS two-level benchmarks (t481 ~481 cubes, xor10
-  /// 512, the arithmetic PLAs) flatten, while parity-like exponential
-  /// covers bail out early and stay multilevel.
-  std::size_t flatten_cube_cap = 1500;
   /// Resource budget. Every prefix of the SOP script is an equivalent
   /// network, so on a trip the remaining optimization passes are skipped
   /// and the current network is factored and returned (status degraded).
@@ -48,7 +36,7 @@ struct BaselineReport {
   /// ok or degraded:<stage>; the script cannot fail (any pass prefix is a
   /// valid result), so Failed never originates here.
   FlowStatus status;
-  /// Wall-clock per baseline-* stage (names match the governor stack).
+  /// Wall-clock per baseline-* stage (names match the governor's stage).
   StageBreakdown stages;
   /// Cooperative governor polls consumed (0 when no governor attached).
   uint64_t governor_polls = 0;

@@ -12,6 +12,8 @@
 #include <tuple>
 #include <unordered_map>
 
+#include "util/faultplan.hpp"
+
 namespace rmsyn {
 
 BddManager::BddManager(int nvars, int cache_bits)
@@ -143,8 +145,8 @@ void BddManager::dec_edge_reclaim(BddRef e) {
 bool BddManager::cache_find(Op op, BddRef a, BddRef b, BddRef c,
                             uint64_t* out) {
   ++stats_.cache_lookups;
-  // Fault injection: behave as if the table permanently overflowed.
-  if (gov_ != nullptr && gov_->cache_overflow_fault()) return false;
+  // The fault plan's computed-table site: a governed manager always misses.
+  if (gov_ != nullptr && fault_cache_overflow()) return false;
   const std::size_t idx =
       hash2((uint64_t{a} << 32) | b,
             (uint64_t{c} << 8) | static_cast<uint32_t>(op)) &

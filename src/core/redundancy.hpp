@@ -49,7 +49,6 @@ struct RedundancyOptions {
   bool observability_pass = true; ///< Properties 5-7
   bool and_fanin_pass = true;     ///< the SA1/OC stuck-at pass
   std::size_t max_patterns = std::size_t{1} << 16;
-  std::size_t bdd_node_limit = 4'000'000;
   /// Budget for the exact (BDD) decisions. The pass stays sound under a
   /// trip: every rewrite needs an exact proof, so undecidable candidates
   /// are simply kept and the remaining gates are left untouched.

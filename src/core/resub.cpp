@@ -14,14 +14,20 @@ namespace rmsyn {
 
 namespace {
 
-/// True when some pair of live nodes shares a simulation signature (or a
-/// complemented one, when complement merging is on) — i.e. the exact sweep
-/// MIGHT merge something. No collision ⇒ all node functions are pairwise
-/// distinct ⇒ the sweep is the identity rebuild.
+/// The exact BDD sweep is skipped when the network's BDDs exceed this many
+/// nodes; structural hashing alone is then used.
+constexpr std::size_t kBddNodeLimit = 2'000'000;
+/// Patterns and seed of the simulation-signature screen.
+constexpr std::size_t kPrefilterPatterns = 1024;
+constexpr uint64_t kPrefilterSeed = 0x5EEDBA5E;
+
+/// True when some pair of live nodes shares a simulation signature or a
+/// complemented one — i.e. the exact sweep MIGHT merge something. No
+/// collision ⇒ all node functions are pairwise distinct up to complement ⇒
+/// the sweep is the identity rebuild.
 bool signatures_collide(const Network& hashed, const ResubOptions& opt) {
-  SimState sim(hashed,
-               random_patterns(hashed.pi_count(), opt.prefilter_patterns,
-                               opt.prefilter_seed));
+  SimState sim(hashed, random_patterns(hashed.pi_count(), kPrefilterPatterns,
+                                       kPrefilterSeed));
   bool collision = false;
   std::unordered_set<BitVec, BitVecHash> seen;
   // Mirrors the rep-map seeding of the exact sweep: constants, then PIs.
@@ -38,13 +44,11 @@ bool signatures_collide(const Network& hashed, const ResubOptions& opt) {
       collision = true;
       break;
     }
-    if (opt.merge_complements) {
-      flipped = v;
-      flipped.flip_all();
-      if (seen.count(flipped) != 0) {
-        collision = true;
-        break;
-      }
+    flipped = v;
+    flipped.flip_all();
+    if (seen.count(flipped) != 0) {
+      collision = true;
+      break;
     }
     seen.insert(v);
   }
@@ -85,7 +89,6 @@ Network resub_merge(const Network& net, const ResubOptions& opt) {
   // Signature screen before any BDD is built. Skipped under an exhausted
   // governor so a budget-starved call keeps its pre-screen behavior.
   if (opt.sim_prefilter && hashed.pi_count() > 0 &&
-      opt.prefilter_patterns > 0 &&
       (opt.governor == nullptr || !opt.governor->exhausted()) &&
       !signatures_collide(hashed, opt))
     return rebuild_unmerged(hashed);
@@ -94,7 +97,7 @@ Network resub_merge(const Network& net, const ResubOptions& opt) {
     BddManager mgr(static_cast<int>(hashed.pi_count()));
     mgr.set_governor(opt.governor);
     const std::vector<BddRef> f = node_bdds(mgr, hashed);
-    if (mgr.node_count() > opt.bdd_node_limit) return hashed;
+    if (mgr.node_count() > kBddNodeLimit) return hashed;
     // A governed sweep that ran out of budget leaves invalid refs; merging
     // on them would conflate distinct functions, so keep the strashed net.
     for (const BddRef r : f)
@@ -122,14 +125,11 @@ Network resub_merge(const Network& net, const ResubOptions& opt) {
         map[n] = it->second;
         continue;
       }
-      if (opt.merge_complements) {
-        const BddRef nf = mgr.bdd_not(f[n]);
-        if (const auto it = rep.find(nf); it != rep.end()) {
-          const NodeId inv = out.add_not(it->second);
-          map[n] = inv;
-          rep.emplace(f[n], inv);
-          continue;
-        }
+      if (const auto it = rep.find(mgr.bdd_not(f[n])); it != rep.end()) {
+        const NodeId inv = out.add_not(it->second);
+        map[n] = inv;
+        rep.emplace(f[n], inv);
+        continue;
       }
       std::vector<NodeId> fi;
       fi.reserve(hashed.fanins(n).size());

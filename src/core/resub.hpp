@@ -11,17 +11,11 @@
 namespace rmsyn {
 
 struct ResubOptions {
-  /// Skip the (exact) BDD sweep when the network's BDDs would exceed this
-  /// many nodes; structural hashing alone is then used.
-  std::size_t bdd_node_limit = 2'000'000;
-  bool merge_complements = true;
   /// Simulation-signature screen (sim/sim.hpp): equal functions have equal
   /// signatures, so when no two live nodes collide (modulo complement) the
   /// exact sweep cannot merge anything and all BDD work is skipped. The
   /// result is bit-identical to the exact path either way.
   bool sim_prefilter = true;
-  std::size_t prefilter_patterns = 1024;
-  uint64_t prefilter_seed = 0x5EEDBA5E;
   /// Prefilter counters accumulated here when non-null.
   SimStats* sim_stats = nullptr;
   /// Budget for the BDD sweep; on a trip the sweep is abandoned and the

@@ -399,11 +399,12 @@ Network synthesize(const Network& spec, const SynthOptions& opt,
     rep.rewrite = rst;
   }
 
-  if (opt.verify) {
-    // Give the verifier a fresh slice when the budget already died: an
-    // undecided internal check on a degraded result is acceptable, but we
-    // should at least try. Real mismatches still throw — degradation never
-    // excuses a wrong network.
+  {
+    // The result is always verified against the spec (the paper runs SIS
+    // `verify` on every circuit). Give the verifier a fresh slice when the
+    // budget already died: an undecided internal check on a degraded result
+    // is acceptable, but we should at least try. Real mismatches still
+    // throw — degradation never excuses a wrong network.
     (void)regain();
     obs::ScopedStage stage(gov, sb, "verify");
     const auto check = check_equivalence(spec, out, 0xC0FFEE, gov);

@@ -40,9 +40,6 @@ struct SynthOptions {
   /// factored with Method 2 only (the OFDD never enumerates cubes), and
   /// contribute only their enumerated prefix to the pattern sets.
   std::size_t cube_limit = std::size_t{1} << 17;
-  /// Verify the result against the specification (the paper runs SIS
-  /// `verify` on every circuit). Throws std::logic_error on mismatch.
-  bool verify = true;
   /// Also try the spectrum-friendly PI order (see transform.hpp) in
   /// addition to the spec's natural order; off = natural order only
   /// (used by the ordering ablation).
@@ -83,7 +80,7 @@ struct SynthReport {
   /// How many ladder descents the result consumed (0 = full flow).
   std::size_t ladder_descents = 0;
   /// Wall-clock per stage (polarity-search, ofdd-build, factor, ...);
-  /// stage names match the governor's stage stack and the trace spans.
+  /// stage names match the governor's stage and the trace spans.
   StageBreakdown stages;
   /// Cooperative governor polls consumed (0 when no governor attached).
   uint64_t governor_polls = 0;

@@ -159,6 +159,10 @@ FprmForm extract_fprm(BddManager& mgr, const Ofdd& ofdd, int nvars,
 
 namespace {
 
+/// The exhaustive scan fans out only with at least this many candidate
+/// vectors (smaller scans are cheaper than a task round-trip).
+constexpr uint64_t kParallelMinMasks = 32;
+
 // The candidate polarity for scan position `mask`: bit i of the mask
 // complements variable vars[i], everything else stays positive. Mask 0 is
 // PPRM, and masks ascend, so "lowest mask at minimum cost" is exactly the
@@ -298,7 +302,7 @@ BitVec best_polarity_multi(BddManager& mgr, const std::vector<BddRef>& fs,
   auto best_cost = cost(best);
   if (static_cast<int>(vars.size()) <= opt.exhaustive_limit) {
     const uint64_t total = uint64_t{1} << vars.size();
-    if (opt.pool != nullptr && total >= opt.parallel_min_masks &&
+    if (opt.pool != nullptr && total >= kParallelMinMasks &&
         identity_order(mgr)) {
       // Level-2 fan-out: chunks of the ascending-mask scan run in manager
       // clones; reducing by (cost, mask) lexicographic order reproduces the

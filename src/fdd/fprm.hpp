@@ -98,9 +98,6 @@ struct PolarityOptions {
   /// starts from the previous accept) and always runs serially. Null =
   /// fully serial.
   ThreadPool* pool = nullptr;
-  /// Fan out only when the exhaustive scan has at least this many
-  /// candidate vectors (smaller scans are cheaper than a task round-trip).
-  uint64_t parallel_min_masks = 32;
 };
 
 /// Searches for the polarity vector minimizing the FPRM cube count

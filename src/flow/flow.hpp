@@ -60,7 +60,7 @@ struct FlowRow {
   rw::RewriteStats rewrite;
 
   // Per-stage wall clock, merged across both flows plus mapping and power
-  // (stage names match the trace spans and the governor stage stack).
+  // (stage names match the trace spans and the governor's stage).
   StageBreakdown stages;
   // Cooperative governor polls consumed by each flow (0 = ungoverned).
   uint64_t ours_polls = 0;

@@ -64,7 +64,7 @@ namespace obs {
 ScopedStage::ScopedStage(ResourceGovernor* gov, StageBreakdown* sb,
                          const char* name)
     : gov_(gov), sb_(sb), name_(name), span_(name) {
-  if (gov_ != nullptr) gov_->begin_stage(name);
+  if (gov_ != nullptr) outer_ = gov_->enter_stage(name);
   if (ProgressBoard::active()) ProgressBoard::instance().set_stage(name);
   start_ns_ = now_ns();
 }
@@ -72,7 +72,7 @@ ScopedStage::ScopedStage(ResourceGovernor* gov, StageBreakdown* sb,
 ScopedStage::~ScopedStage() {
   if (sb_ != nullptr)
     sb_->add(name_, 1e-9 * static_cast<double>(now_ns() - start_ns_));
-  if (gov_ != nullptr) gov_->end_stage();
+  if (gov_ != nullptr) gov_->restore_stage(outer_);
 }
 
 } // namespace obs

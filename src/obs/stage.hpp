@@ -10,8 +10,8 @@
 //
 // ScopedStage is the one RAII marker the flow layers use. It fuses the
 // three per-stage concerns that previously needed separate scopes:
-//   1. governor stage tracking (fault injection + trip attribution) via
-//      ResourceGovernor::begin_stage/end_stage, null-governor safe;
+//   1. the governor's current stage (trip attribution and the fault plan's
+//      stage site): saved on entry, restored on exit, null-governor safe;
 //   2. a tracer span (obs/trace.hpp) under the same name;
 //   3. wall-clock accumulation into the owning report's StageBreakdown,
 //      plus a ProgressBoard update for the heartbeat when one is running.
@@ -58,6 +58,7 @@ namespace obs {
 /// heartbeat progress, in one scope. Both `gov` and `sb` may be null.
 class ScopedStage {
 public:
+  /// `name` must outlive the scope (the flows pass string literals).
   ScopedStage(ResourceGovernor* gov, StageBreakdown* sb, const char* name);
   ~ScopedStage();
   ScopedStage(const ScopedStage&) = delete;
@@ -67,6 +68,7 @@ private:
   ResourceGovernor* gov_;
   StageBreakdown* sb_;
   const char* name_;
+  const char* outer_ = nullptr; ///< the governor's stage before this one
   Span span_;
   uint64_t start_ns_;
 };

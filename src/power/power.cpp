@@ -11,6 +11,9 @@
 
 namespace rmsyn {
 
+/// The exact path gives way to sampling above this many BDD nodes.
+constexpr std::size_t kBddNodeLimit = 2'000'000;
+
 PowerReport estimate_power(const Network& net, const PowerOptions& opt) {
   PowerReport rep;
   const auto live = net.live_mask();
@@ -25,7 +28,7 @@ PowerReport estimate_power(const Network& net, const PowerOptions& opt) {
       // node function, so reordering cannot invalidate `f`.
       if (net.pi_count() > 16) mgr.set_auto_reorder(true);
       const auto f = node_bdds(mgr, net);
-      if (mgr.node_count() <= opt.bdd_node_limit) {
+      if (mgr.node_count() <= kBddNodeLimit) {
         for (NodeId n = 0; n < net.node_count(); ++n)
           if (live[n]) prob[n] = mgr.density(f[n]);
         exact_ok = true;

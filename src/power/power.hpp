@@ -11,9 +11,8 @@ namespace rmsyn {
 
 struct PowerOptions {
   /// Use exact BDD signal probabilities; falls back to random-simulation
-  /// estimates when the BDDs exceed the node limit.
+  /// estimates when the BDDs exceed 2M nodes.
   bool exact = true;
-  std::size_t bdd_node_limit = 2'000'000;
   std::size_t sim_patterns = 16384;
   uint64_t sim_seed = 0x50FE12;
 };

@@ -15,9 +15,9 @@ namespace rmsyn {
 namespace {
 
 /// Deterministic exponential backoff in budget space: attempt k runs with
-/// every finite per-flow limit scaled by 2^k. One-shot injected governor
-/// faults are cleared — they already fired on the first attempt, and a
-/// retry models "run again without the fault", not "hit it again".
+/// every finite per-flow limit scaled by 2^k. The fault plan is left alone:
+/// its one-shot sites (alloc, arena) already fired, so a retry runs clean,
+/// while a stage site is persistent and fails the retry too.
 ResourceLimits escalated_limits(ResourceLimits l, int attempt) {
   const int shift = attempt < 20 ? attempt : 20; // cap the growth factor
   if (l.deadline_seconds > 0.0)
@@ -30,7 +30,6 @@ ResourceLimits escalated_limits(ResourceLimits l, int attempt) {
     const uint64_t grown = l.step_limit << shift;
     l.step_limit = grown >> shift == l.step_limit ? grown : ~uint64_t{0};
   }
-  l.faults = GovernorFaults{};
   return l;
 }
 

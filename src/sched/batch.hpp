@@ -52,9 +52,8 @@ struct BatchOptions {
   /// Extra attempts for rows that fail with a transient-retryable code
   /// (util/errors.hpp). Each retry re-runs the flow with the per-flow
   /// budget limits escalated x2 per attempt (deterministic exponential
-  /// backoff in budget space, not wall-clock sleeping) and one-shot
-  /// injected governor faults cleared. Rows whose first attempt succeeds
-  /// are bit-identical to a --retries 0 run.
+  /// backoff in budget space, not wall-clock sleeping). Rows whose first
+  /// attempt succeeds are bit-identical to a --retries 0 run.
   int retries = 0;
   /// Append one fsync'd JSONL checkpoint record per settled row (see
   /// sched/journal.hpp). Empty = journaling off. Journal write failures

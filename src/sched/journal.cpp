@@ -93,7 +93,6 @@ uint64_t journal_options_digest(const FlowOptions& opt) {
      << ";synth.redundancy=" << opt.synth.run_redundancy_removal
      << ";synth.resub=" << opt.synth.run_resub
      << ";synth.cube_limit=" << opt.synth.cube_limit
-     << ";synth.verify=" << opt.synth.verify
      << ";synth.reach=" << opt.synth.try_reach_order
      << ";synth.pol.exh=" << opt.synth.polarity.exhaustive_limit
      << ";synth.pol.greedy=" << opt.synth.polarity.greedy_passes
@@ -101,7 +100,6 @@ uint64_t journal_options_digest(const FlowOptions& opt) {
      << ";synth.red.obs=" << opt.synth.redundancy.observability_pass
      << ";synth.red.fanin=" << opt.synth.redundancy.and_fanin_pass
      << ";synth.red.patterns=" << opt.synth.redundancy.max_patterns
-     << ";synth.red.bddcap=" << opt.synth.redundancy.bdd_node_limit
      << ";synth.rewrite=" << opt.synth.run_rewrite
      << ";synth.rw.cuts=" << opt.synth.rewrite.cut_limit
      << ";synth.rw.passes=" << opt.synth.rewrite.max_passes
@@ -109,15 +107,9 @@ uint64_t journal_options_digest(const FlowOptions& opt) {
      << ";synth.rw.seed=" << opt.synth.rewrite.sim_seed
      << ";synth.rw.db=" << opt.synth.rewrite.db_path
      << ";base.redundancy=" << opt.baseline.run_redundancy_removal
-     << ";base.elim=" << opt.baseline.eliminate_value
-     << ";base.extract=" << opt.baseline.extract_rounds
-     << ";base.verify=" << opt.baseline.verify
-     << ";base.flatten=" << opt.baseline.flatten_to_two_level
-     << ";base.cubecap=" << opt.baseline.flatten_cube_cap
      << ";map=" << opt.run_mapping
      << ";power=" << opt.run_power
      << ";power.exact=" << opt.power.exact
-     << ";power.bddcap=" << opt.power.bdd_node_limit
      << ";power.patterns=" << opt.power.sim_patterns
      << ";power.seed=" << opt.power.sim_seed
      << ";limits.deadline=" << opt.limits.deadline_seconds

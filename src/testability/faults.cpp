@@ -29,6 +29,10 @@ std::vector<Fault> enumerate_faults(const Network& net) {
 
 namespace {
 
+/// Patterns per fault-dropping block, a multiple of 64 (word-aligned blocks
+/// make the good values plain word slices).
+constexpr std::size_t kBlockPatterns = 256;
+
 /// Word-parallel simulation with one injected fault.
 std::vector<BitVec> simulate_faulty(const Network& net,
                                     const PatternSet& patterns,
@@ -110,7 +114,7 @@ FaultSimResult fault_simulate(const Network& net, const PatternSet& patterns,
 
   // One good pass per block; together the blocks cost exactly one full
   // simulation of the whole set.
-  std::size_t bp = opt.drop_faults ? opt.block_patterns : np;
+  std::size_t bp = opt.drop_faults ? kBlockPatterns : np;
   bp = std::max<std::size_t>(64, (bp + 63) / 64 * 64);
   const std::size_t nblocks = (np + bp - 1) / bp;
   std::vector<std::unique_ptr<SimState>> blocks(nblocks);

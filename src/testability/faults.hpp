@@ -41,9 +41,6 @@ struct FaultSimOptions {
   /// the whole set. Detection results are identical either way; dropping
   /// only skips work.
   bool drop_faults = true;
-  /// Patterns per block, rounded up to a multiple of 64 (word-aligned
-  /// blocks make the good values plain word slices).
-  std::size_t block_patterns = 256;
   /// Run fault chunks on this pool (null = serial). Each worker probes a
   /// disjoint fault range with its own FaultProber against shared const
   /// block states, so results AND counters are bit-identical to serial.

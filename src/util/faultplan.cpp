@@ -1,5 +1,6 @@
 #include "util/faultplan.hpp"
 
+#include <charconv>
 #include <mutex>
 
 #include "util/errors.hpp"
@@ -9,14 +10,12 @@ namespace rmsyn {
 namespace faultdetail {
 
 std::atomic<bool> g_active{false};
+std::atomic<bool> g_cache_miss{false};
+CountedSite g_arena, g_journal, g_alloc;
 
 namespace {
-std::mutex g_mu; // guards g_plan installation (hooks read atomics only)
+std::mutex g_mu; // guards g_plan (the counted sites are atomics)
 FaultPlan g_plan;
-std::atomic<uint64_t> g_nodes{0};
-std::atomic<uint64_t> g_journal{0};
-std::atomic<uint64_t> g_arena_at{0};
-std::atomic<uint64_t> g_journal_at{0};
 
 uint64_t splitmix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -26,48 +25,41 @@ uint64_t splitmix64(uint64_t x) {
 }
 } // namespace
 
-void count_node_slow() {
-  const uint64_t at = g_arena_at.load(std::memory_order_relaxed);
-  if (at == 0) return;
-  const uint64_t n = g_nodes.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (n == at)
-    throw RmsynError(ErrorCode::InjectedFault,
-                     "fault-plan: arena allocation failed at node " +
-                         std::to_string(n));
-}
-
-bool journal_append_slow() {
-  const uint64_t at = g_journal_at.load(std::memory_order_relaxed);
-  if (at == 0) return false;
-  const uint64_t n = g_journal.fetch_add(1, std::memory_order_relaxed) + 1;
-  return n == at;
+void throw_arena_fault() {
+  throw RmsynError(ErrorCode::InjectedFault,
+                   "fault-plan: arena allocation failed at node " +
+                       std::to_string(g_arena.at.load()));
 }
 
 } // namespace faultdetail
 
-void install_fault_plan(const FaultPlan& p) {
-  std::lock_guard<std::mutex> lk(faultdetail::g_mu);
-  faultdetail::g_plan = p;
-  faultdetail::g_nodes.store(0, std::memory_order_relaxed);
-  faultdetail::g_journal.store(0, std::memory_order_relaxed);
-  faultdetail::g_arena_at.store(p.arena_fail_at_node,
-                                std::memory_order_relaxed);
-  faultdetail::g_journal_at.store(p.journal_fail_at_record,
-                                  std::memory_order_relaxed);
-  faultdetail::g_active.store(true, std::memory_order_release);
+namespace {
+void set_plan(const FaultPlan& p, bool active) {
+  using namespace faultdetail;
+  std::lock_guard<std::mutex> lk(g_mu);
+  g_plan = p;
+  g_arena.arm(p.arena_fail_at_node);
+  g_journal.arm(p.journal_fail_at_record);
+  g_alloc.arm(p.fail_at_allocation);
+  g_cache_miss.store(p.overflow_computed_table, std::memory_order_relaxed);
+  g_active.store(active, std::memory_order_release);
 }
+} // namespace
 
-void clear_fault_plan() {
-  std::lock_guard<std::mutex> lk(faultdetail::g_mu);
-  faultdetail::g_active.store(false, std::memory_order_release);
-  faultdetail::g_plan = FaultPlan{};
-  faultdetail::g_arena_at.store(0, std::memory_order_relaxed);
-  faultdetail::g_journal_at.store(0, std::memory_order_relaxed);
-}
+void install_fault_plan(const FaultPlan& p) { set_plan(p, true); }
+
+void clear_fault_plan() { set_plan(FaultPlan{}, false); }
 
 FaultPlan active_fault_plan() {
   std::lock_guard<std::mutex> lk(faultdetail::g_mu);
   return fault_plan_active() ? faultdetail::g_plan : FaultPlan{};
+}
+
+bool fault_stage(const char* stage) {
+  if (!fault_plan_active()) return false;
+  std::lock_guard<std::mutex> lk(faultdetail::g_mu);
+  return !faultdetail::g_plan.trip_at_stage.empty() &&
+         faultdetail::g_plan.trip_at_stage == stage;
 }
 
 std::string apply_io_faults(std::string bytes) {
@@ -100,29 +92,36 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
                        "fault-plan: expected key=value, got '" + item + "'");
     const std::string key = item.substr(0, eq);
     const std::string val = item.substr(eq + 1);
-    uint64_t v = 0;
-    if (val.empty())
-      throw RmsynError(ErrorCode::ParseError,
-                       "fault-plan: empty value for '" + key + "'");
-    for (const char c : val) {
-      if (c < '0' || c > '9')
-        throw RmsynError(ErrorCode::ParseError,
-                         "fault-plan: bad number '" + val + "' for '" + key +
-                             "'");
-      if (v > (~0ull - static_cast<uint64_t>(c - '0')) / 10)
-        throw RmsynError(ErrorCode::ParseError,
-                         "fault-plan: value overflow for '" + key + "'");
-      v = v * 10 + static_cast<uint64_t>(c - '0');
-    }
-    if (key == "seed") p.seed = v;
-    else if (key == "truncate") p.io_truncate_at = v;
-    else if (key == "corrupt") p.io_corrupt_at = v;
-    else if (key == "arena") p.arena_fail_at_node = v;
-    else if (key == "journal") p.journal_fail_at_record = v;
-    else
+    const auto bad_value = [&](const std::string& want) {
+      return RmsynError(ErrorCode::ParseError, "fault-plan: bad value '" + val +
+                            "' for '" + key + "' (want " + want + ")");
+    };
+    const auto number = [&] {
+      uint64_t v = 0;
+      const char* end = val.data() + val.size();
+      const auto [ptr, ec] = std::from_chars(val.data(), end, v);
+      if (ec != std::errc() || ptr != end)
+        throw bad_value("an unsigned 64-bit integer");
+      return v;
+    };
+    if (key == "seed") p.seed = number();
+    else if (key == "truncate") p.io_truncate_at = number();
+    else if (key == "corrupt") p.io_corrupt_at = number();
+    else if (key == "arena") p.arena_fail_at_node = number();
+    else if (key == "journal") p.journal_fail_at_record = number();
+    else if (key == "alloc") p.fail_at_allocation = number();
+    else if (key == "stage") {
+      if (val.empty()) throw bad_value("a stage name");
+      p.trip_at_stage = val;
+    } else if (key == "cache") {
+      if (val != "0" && val != "1") throw bad_value("0 or 1");
+      p.overflow_computed_table = val == "1";
+    } else {
       throw RmsynError(ErrorCode::ParseError,
                        "fault-plan: unknown key '" + key +
-                           "' (want seed/truncate/corrupt/arena/journal)");
+                           "' (want seed/truncate/corrupt/arena/journal/"
+                           "alloc/stage/cache)");
+    }
   }
   return p;
 }

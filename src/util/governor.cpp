@@ -84,9 +84,7 @@ bool ResourceGovernor::note_nodes(std::size_t live) {
 }
 
 bool ResourceGovernor::count_allocation() {
-  const uint64_t n = allocations_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (limits_.faults.fail_at_allocation != 0 &&
-      n == limits_.faults.fail_at_allocation) {
+  if (fault_allocation()) {
     trip(TripKind::FaultInjected, "fault: allocation budget");
     return false;
   }
@@ -103,27 +101,12 @@ bool ResourceGovernor::count_allocation() {
   return !tripped_.load(std::memory_order_relaxed);
 }
 
-void ResourceGovernor::begin_stage(const char* stage) {
-  bool fire = false;
-  {
-    std::lock_guard<std::mutex> lk(cold_mu_);
-    stage_stack_.emplace_back(stage);
-    fire = !limits_.faults.trip_at_stage.empty() &&
-           limits_.faults.trip_at_stage == stage;
-  }
-  if (fire)
+const char* ResourceGovernor::enter_stage(const char* stage) {
+  const char* outer = stage_.exchange(stage, std::memory_order_relaxed);
+  if (fault_stage(stage))
     trip(TripKind::FaultInjected,
          "fault: forced deadline at stage '" + std::string(stage) + "'");
-}
-
-void ResourceGovernor::end_stage() {
-  std::lock_guard<std::mutex> lk(cold_mu_);
-  if (!stage_stack_.empty()) stage_stack_.pop_back();
-}
-
-std::string ResourceGovernor::current_stage() const {
-  std::lock_guard<std::mutex> lk(cold_mu_);
-  return stage_stack_.empty() ? std::string() : stage_stack_.back();
+  return outer;
 }
 
 std::string ResourceGovernor::trip_stage() const {
@@ -140,10 +123,9 @@ bool ResourceGovernor::grant_fallback() {
   if (!tripped_.load(std::memory_order_relaxed)) return true;
   if (fallbacks_ >= kMaxFallbacks) return false;
   ++fallbacks_;
-  // Fresh slice: restart the clock and the step counter; the allocation
-  // fault stays armed only if it has not fired yet (it is one-shot). A
-  // shared budget is deliberately NOT re-armed — a cancelled or timed-out
-  // batch re-trips at the next slow poll.
+  // Fresh slice: restart the clock and the step counter. A shared budget
+  // is deliberately NOT re-armed — a cancelled or timed-out batch re-trips
+  // at the next slow poll.
   {
     std::lock_guard<std::mutex> lk(cold_mu_);
     slice_start_ = Clock::now();
@@ -161,8 +143,7 @@ void ResourceGovernor::trip(TripKind kind, std::string reason) {
   if (first_trip_kind_.load(std::memory_order_acquire) != TripKind::None)
     return;
   std::lock_guard<std::mutex> lk(cold_mu_);
-  first_trip_stage_ =
-      stage_stack_.empty() ? std::string() : stage_stack_.back();
+  first_trip_stage_ = stage_.load(std::memory_order_relaxed);
   first_trip_reason_ = std::move(reason);
   first_trip_kind_.store(kind, std::memory_order_release);
 }

@@ -24,15 +24,12 @@
 // worker threads (the parallel polarity/KFDD search shares the flow's
 // governor across per-worker manager clones). The hot path — poll(),
 // note_nodes(), count_allocation(), exhausted(), cancel() — is lock-free:
-// plain relaxed atomics, no mutex. The cold paths (stage tracking, trip
+// plain relaxed atomics, no mutex; so is the current stage, one pointer
+// that obs::ScopedStage saves and restores. The cold paths (trip
 // bookkeeping, grant_fallback) serialize on a small mutex. Trip metadata
 // (trip_kind/stage/reason) is written once by the winning tripper; read it
-// after the parallel region has joined (the flow thread does).
-//
-// Fault injection (GovernorFaults) makes every fallback edge reachable
-// deterministically: fail the Nth node allocation, force-trip the deadline
-// when a named stage begins, or make the computed table behave as if it
-// always overflowed (every lookup misses).
+// after the parallel region has joined (the flow thread does). Injected
+// faults come from the process-wide FaultPlan (util/faultplan.hpp).
 //
 // Degradation ladder support: after a trip, grant_fallback() re-arms a
 // fresh budget slice so the next (cheaper) rung gets a real chance instead
@@ -48,22 +45,11 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "util/errors.hpp"
+#include "util/faultplan.hpp"
 
 namespace rmsyn {
-
-/// Deterministic fault-injection hooks; all off by default.
-struct GovernorFaults {
-  /// Trip when the Nth DD-node allocation happens (1-based; 0 = off).
-  uint64_t fail_at_allocation = 0;
-  /// Force a deadline trip whenever this stage begins (empty = off).
-  std::string trip_at_stage;
-  /// Make every computed-table lookup miss, as if the table permanently
-  /// overflowed (stresses the uncached recursion paths).
-  bool overflow_computed_table = false;
-};
 
 /// Batch-wide budget shared by every governor of a parallel batch: a
 /// cancellation flag, an absolute deadline, and a global pool of DD-node
@@ -132,15 +118,15 @@ struct ResourceLimits {
   double deadline_seconds = 0.0; ///< wall clock per budget slice; 0 = off
   std::size_t node_limit = 0;    ///< peak live DD nodes; 0 = off
   uint64_t step_limit = 0;       ///< cooperative polls per slice; 0 = off
-  GovernorFaults faults;
   /// Batch-wide budget this governor also answers to (not owned; must
   /// outlive the governor). Null = standalone.
   SharedBudget* shared = nullptr;
 
+  /// True when no budget is set and the installed fault plan arms no
+  /// governor site: a flow then runs without a governor.
   bool unlimited() const {
     return deadline_seconds <= 0.0 && node_limit == 0 && step_limit == 0 &&
-           shared == nullptr && faults.fail_at_allocation == 0 &&
-           faults.trip_at_stage.empty() && !faults.overflow_computed_table;
+           shared == nullptr && !active_fault_plan().arms_governor();
   }
 };
 
@@ -187,23 +173,23 @@ public:
   /// Returns false (and trips) when `live` exceeds the node limit.
   bool note_nodes(std::size_t live);
 
-  /// Counts one DD-node allocation against the fail_at_allocation fault
-  /// and the shared allocation pool. Returns false (and trips) when either
-  /// budget dies.
+  /// Counts one DD-node allocation against the fault plan's allocation
+  /// site and the shared allocation pool. Returns false (and trips) when
+  /// either fires.
   bool count_allocation();
 
-  /// True when the computed table should behave as permanently overflowed.
-  bool cache_overflow_fault() const {
-    return limits_.faults.overflow_computed_table;
+  // --- stage attribution -------------------------------------------------
+  /// Makes `stage` (a string literal) the current stage and returns the
+  /// stage it replaces, which obs::ScopedStage restores on exit. Trips when
+  /// the fault plan arms `stage`.
+  const char* enter_stage(const char* stage);
+  void restore_stage(const char* outer) {
+    stage_.store(outer, std::memory_order_relaxed);
   }
-
-  // --- stage tracking ----------------------------------------------------
-  /// Pushes a named stage (see obs::ScopedStage). Checks the trip_at_stage
-  /// fault.
-  void begin_stage(const char* stage);
-  void end_stage();
   /// Innermost active stage name ("" when outside any stage).
-  std::string current_stage() const;
+  std::string current_stage() const {
+    return stage_.load(std::memory_order_relaxed);
+  }
 
   // --- trip reporting -----------------------------------------------------
   /// Kind/stage/reason of the FIRST trip; preserved across grant_fallback().
@@ -224,10 +210,6 @@ public:
   int fallbacks_granted() const { return fallbacks_; }
 
   uint64_t steps() const { return steps_.load(std::memory_order_relaxed); }
-  /// DD-node allocations counted so far (count_allocation calls).
-  uint64_t allocations() const {
-    return allocations_.load(std::memory_order_relaxed);
-  }
   const ResourceLimits& limits() const { return limits_; }
   SharedBudget* shared_budget() const { return limits_.shared; }
 
@@ -244,7 +226,6 @@ private:
   Clock::time_point slice_start_;
   std::atomic<uint64_t> steps_{0};
   std::atomic<uint64_t> slice_step_base_{0}; ///< steps_ when slice started
-  std::atomic<uint64_t> allocations_{0};
   /// Allocations left in the locally carved shared-pool slice. May go
   /// slightly negative under contention before the next carve; the budget
   /// is approximate by design.
@@ -253,9 +234,9 @@ private:
   std::atomic<bool> tripped_{false};
   std::atomic<bool> cancel_requested_{false};
   std::atomic<TripKind> first_trip_kind_{TripKind::None};
-  /// Guards the cold-path state: stage stack, trip strings, slice clock.
+  std::atomic<const char*> stage_{""};
+  /// Guards the cold-path state: trip strings, slice clock.
   mutable std::mutex cold_mu_;
-  std::vector<std::string> stage_stack_;
   std::string first_trip_stage_;
   std::string first_trip_reason_;
 };

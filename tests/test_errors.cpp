@@ -7,6 +7,7 @@
 
 #include <new>
 #include <stdexcept>
+#include <string>
 
 #include "util/faultplan.hpp"
 
@@ -91,27 +92,54 @@ TEST(Errors, ClassifyExceptionMapsKnownTypes) {
 }
 
 TEST(FaultPlanTest, ParseReadsEveryKey) {
-  const FaultPlan p =
-      FaultPlan::parse("seed=7,truncate=10,corrupt=3,arena=100,journal=2");
+  const FaultPlan p = FaultPlan::parse(
+      "seed=7,truncate=10,corrupt=3,arena=100,journal=2,alloc=50,"
+      "stage=spec-bdd,cache=1");
   EXPECT_EQ(p.seed, 7u);
   EXPECT_EQ(p.io_truncate_at, 10u);
   EXPECT_EQ(p.io_corrupt_at, 3u);
   EXPECT_EQ(p.arena_fail_at_node, 100u);
   EXPECT_EQ(p.journal_fail_at_record, 2u);
+  EXPECT_EQ(p.fail_at_allocation, 50u);
+  EXPECT_EQ(p.trip_at_stage, "spec-bdd");
+  EXPECT_TRUE(p.overflow_computed_table);
   EXPECT_TRUE(p.any_io());
-  const FaultPlan none = FaultPlan::parse("seed=1");
+  EXPECT_TRUE(p.arms_governor());
+  const FaultPlan none = FaultPlan::parse("seed=1,cache=0");
   EXPECT_FALSE(none.any_io());
+  EXPECT_FALSE(none.overflow_computed_table);
+  EXPECT_FALSE(none.arms_governor());
 }
 
 TEST(FaultPlanTest, ParseRejectsMalformedSpecs) {
   for (const char* bad :
        {"bogus=1", "seed", "seed=", "seed=notanum", "=3",
-        "arena=18446744073709551616" /* 2^64: overflow */}) {
+        "arena=18446744073709551616" /* 2^64: overflow */, "stage=",
+        "cache=2", "alloc=-1", "alloc=+5", "alloc=1x"}) {
     try {
       FaultPlan::parse(bad);
       FAIL() << "accepted: " << bad;
     } catch (const RmsynError& e) {
       EXPECT_EQ(e.code(), ErrorCode::ParseError) << bad;
+    }
+  }
+  // A bad value names its key and the value, not "unknown key".
+  struct Case {
+    const char* spec;
+    const char* key;
+    const char* value;
+  };
+  for (const Case& c : {Case{"stage=", "'stage'", "''"},
+                        Case{"cache=2", "'cache'", "'2'"},
+                        Case{"alloc=1x", "'alloc'", "'1x'"}}) {
+    try {
+      FaultPlan::parse(c.spec);
+      FAIL() << "accepted: " << c.spec;
+    } catch (const RmsynError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.key), std::string::npos) << what;
+      EXPECT_NE(what.find(c.value), std::string::npos) << what;
+      EXPECT_EQ(what.find("unknown key"), std::string::npos) << what;
     }
   }
 }

@@ -17,6 +17,7 @@
 #include "power/power.hpp"
 #include "rewrite/rewrite.hpp"
 #include "testability/faults.hpp"
+#include "util/faultplan.hpp"
 #include "util/rng.hpp"
 
 namespace rmsyn {
@@ -132,7 +133,9 @@ TEST_P(Fuzz, GovernedFlowsAreSoundUnderRandomBudgets) {
     // Budgets from near-starvation to roomy; sometimes node-capped too.
     lim.step_limit = uint64_t{1} << (8 + rng.below(14));
     if (rng.below(2) == 0) lim.node_limit = 64 + rng.below(4096);
-    if (rng.below(4) == 0) lim.faults.overflow_computed_table = true;
+    FaultPlan p;
+    p.overflow_computed_table = rng.below(4) == 0;
+    ScopedFaultPlan plan(p);
 
     {
       SynthOptions opt;
@@ -192,14 +195,15 @@ TEST_P(Fuzz, GovernedFaultInjectionIsSound) {
   Rng rng(GetParam() + 10000);
   for (int round = 0; round < 3; ++round) {
     SynthOptions opt;
-    ResourceLimits lim;
-    lim.faults.fail_at_allocation = 1 + rng.below(5000);
-    ResourceGovernor gov(lim);
+    FaultPlan p;
+    p.fail_at_allocation = 1 + rng.below(5000);
+    ScopedFaultPlan plan(p);
+    ResourceGovernor gov;
     opt.governor = &gov;
     SynthReport rep;
     const Network out = synthesize(spec, opt, &rep);
     EXPECT_TRUE(check_equivalence(spec, out).equivalent)
-        << "fault at allocation " << lim.faults.fail_at_allocation
+        << "fault at allocation " << p.fail_at_allocation
         << ", status " << rep.status.to_string();
   }
 }

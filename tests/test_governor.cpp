@@ -13,6 +13,7 @@
 #include "flow/flow.hpp"
 #include "network/transform.hpp"
 #include "obs/stage.hpp"
+#include "util/faultplan.hpp"
 
 namespace rmsyn {
 namespace {
@@ -33,6 +34,30 @@ TEST(Governor, UnlimitedNeverTrips) {
   EXPECT_FALSE(gov.exhausted());
   EXPECT_EQ(gov.trip_kind(), TripKind::None);
   EXPECT_TRUE(ResourceLimits{}.unlimited());
+}
+
+TEST(Governor, UnlimitedIsFalseExactlyWhileAPlanArmsAGovernorSite) {
+  EXPECT_TRUE(ResourceLimits{}.unlimited());
+  FaultPlan io; // sites that need no governor
+  io.io_truncate_at = 4;
+  io.io_corrupt_at = 2;
+  io.arena_fail_at_node = 3;
+  io.journal_fail_at_record = 1;
+  {
+    ScopedFaultPlan plan(io);
+    EXPECT_TRUE(ResourceLimits{}.unlimited());
+  }
+  FaultPlan alloc, stage, cache;
+  alloc.fail_at_allocation = 1;
+  stage.trip_at_stage = "factor";
+  cache.overflow_computed_table = true;
+  for (const FaultPlan& p : {alloc, stage, cache}) {
+    {
+      ScopedFaultPlan plan(p);
+      EXPECT_FALSE(ResourceLimits{}.unlimited());
+    }
+    EXPECT_TRUE(ResourceLimits{}.unlimited());
+  }
 }
 
 TEST(Governor, StepLimitTripsWithinOneCheckInterval) {
@@ -80,19 +105,24 @@ TEST(Governor, NodeLimitTripsImmediately) {
 }
 
 TEST(Governor, AllocationFaultFiresOnExactNth) {
-  ResourceLimits lim;
-  lim.faults.fail_at_allocation = 5;
-  ResourceGovernor gov(lim);
+  FaultPlan p;
+  p.fail_at_allocation = 5;
+  ScopedFaultPlan plan(p);
+  ResourceGovernor gov;
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(gov.count_allocation());
   EXPECT_FALSE(gov.count_allocation()); // the 5th
   EXPECT_EQ(gov.trip_kind(), TripKind::FaultInjected);
   EXPECT_NE(gov.trip_reason().find("allocation"), std::string::npos);
+  // Counted process-wide: a second governor does not restart the count.
+  ResourceGovernor other;
+  EXPECT_TRUE(other.count_allocation());
 }
 
 TEST(Governor, StageFaultTripsOnNamedStageAndRecordsIt) {
-  ResourceLimits lim;
-  lim.faults.trip_at_stage = "ofdd-build";
-  ResourceGovernor gov(lim);
+  FaultPlan p;
+  p.trip_at_stage = "ofdd-build";
+  ScopedFaultPlan plan(p);
+  ResourceGovernor gov;
   {
     obs::ScopedStage outer(&gov, nullptr, "polarity-search");
     EXPECT_EQ(gov.current_stage(), "polarity-search");
@@ -116,13 +146,15 @@ TEST(Governor, StageScopeIsNullSafe) {
 }
 
 TEST(Governor, CacheOverflowFaultIsAdvertised) {
-  ResourceLimits lim;
-  lim.faults.overflow_computed_table = true;
-  EXPECT_FALSE(lim.unlimited());
-  ResourceGovernor gov(lim);
-  EXPECT_TRUE(gov.cache_overflow_fault());
-  EXPECT_TRUE(gov.poll()); // the fault degrades the cache, never trips
-  EXPECT_FALSE(ResourceGovernor().cache_overflow_fault());
+  FaultPlan p;
+  p.overflow_computed_table = true;
+  {
+    ScopedFaultPlan plan(p);
+    EXPECT_TRUE(fault_cache_overflow());
+    ResourceGovernor gov;
+    EXPECT_TRUE(gov.poll()); // the fault degrades the cache, never trips
+  }
+  EXPECT_FALSE(fault_cache_overflow());
 }
 
 TEST(Governor, FallbackReArmsAndPreservesFirstTrip) {
@@ -214,9 +246,10 @@ TEST(GovernedSynth, UnlimitedGovernorMatchesUngovernedResult) {
 TEST(GovernedSynth, StageFaultInSpecBddFailsEveryRungToPassthrough) {
   const Benchmark bench = make_benchmark("rd53");
   SynthOptions opt;
-  ResourceLimits lim;
-  lim.faults.trip_at_stage = "spec-bdd"; // every rung starts here → all die
-  ResourceGovernor gov(lim);
+  FaultPlan p;
+  p.trip_at_stage = "spec-bdd"; // every rung starts here → all die
+  ScopedFaultPlan plan(p);
+  ResourceGovernor gov;
   opt.governor = &gov;
   SynthReport rep;
   const Network out = synthesize(bench.spec, opt, &rep);
@@ -231,9 +264,10 @@ TEST(GovernedSynth, StageFaultInSpecBddFailsEveryRungToPassthrough) {
 TEST(GovernedSynth, StageFaultInRedundancyDegradesButStaysCorrect) {
   const Benchmark bench = make_benchmark("rd53");
   SynthOptions opt;
-  ResourceLimits lim;
-  lim.faults.trip_at_stage = "redundancy";
-  ResourceGovernor gov(lim);
+  FaultPlan p;
+  p.trip_at_stage = "redundancy";
+  ScopedFaultPlan plan(p);
+  ResourceGovernor gov;
   opt.governor = &gov;
   SynthReport rep;
   const Network out = synthesize(bench.spec, opt, &rep);
@@ -245,9 +279,10 @@ TEST(GovernedSynth, StageFaultInRedundancyDegradesButStaysCorrect) {
 TEST(GovernedSynth, StageFaultInResubDegradesButStaysCorrect) {
   const Benchmark bench = make_benchmark("rd53");
   SynthOptions opt;
-  ResourceLimits lim;
-  lim.faults.trip_at_stage = "resub";
-  ResourceGovernor gov(lim);
+  FaultPlan p;
+  p.trip_at_stage = "resub";
+  ScopedFaultPlan plan(p);
+  ResourceGovernor gov;
   opt.governor = &gov;
   SynthReport rep;
   const Network out = synthesize(bench.spec, opt, &rep);
@@ -259,9 +294,10 @@ TEST(GovernedSynth, AllocationFaultProducesVerifiedOrPassthroughResult) {
   const Benchmark bench = make_benchmark("rd53");
   for (const uint64_t nth : {1u, 50u, 2000u}) {
     SynthOptions opt;
-    ResourceLimits lim;
-    lim.faults.fail_at_allocation = nth;
-    ResourceGovernor gov(lim);
+    FaultPlan p;
+    p.fail_at_allocation = nth;
+    ScopedFaultPlan plan(p);
+    ResourceGovernor gov;
     opt.governor = &gov;
     SynthReport rep;
     const Network out = synthesize(bench.spec, opt, &rep);
@@ -277,9 +313,10 @@ TEST(GovernedSynth, AllocationFaultProducesVerifiedOrPassthroughResult) {
 TEST(GovernedSynth, CacheOverflowFaultOnlySlowsTheFlow) {
   const Benchmark bench = make_benchmark("rd53");
   SynthOptions opt;
-  ResourceLimits lim;
-  lim.faults.overflow_computed_table = true;
-  ResourceGovernor gov(lim);
+  FaultPlan p;
+  p.overflow_computed_table = true;
+  ScopedFaultPlan plan(p);
+  ResourceGovernor gov;
   opt.governor = &gov;
   SynthReport rep;
   const Network out = synthesize(bench.spec, opt, &rep);
@@ -320,9 +357,10 @@ TEST(GovernedBaseline, StageFaultDegradesButPrefixStaysEquivalent) {
   for (const char* stage : {"baseline-simplify", "baseline-extract",
                             "baseline-redundancy"}) {
     BaselineOptions opt;
-    ResourceLimits lim;
-    lim.faults.trip_at_stage = stage;
-    ResourceGovernor gov(lim);
+    FaultPlan p;
+    p.trip_at_stage = stage;
+    ScopedFaultPlan plan(p);
+    ResourceGovernor gov;
     opt.governor = &gov;
     BaselineReport rep;
     const Network out = baseline_synthesize(bench.spec, opt, &rep);
@@ -349,10 +387,13 @@ TEST(GovernedBaseline, TinyStepBudgetStillReturnsEquivalentNetwork) {
 // --- end-to-end: run_flow (satellite: no all-or-nothing) ---------------------
 
 TEST(GovernedFlow, OneFlowFailingKeepsTheOtherFlowsColumns) {
-  FlowOptions opt;
   // Kills only the FPRM flow: the baseline never enters a "spec-bdd" stage.
-  opt.limits.faults.trip_at_stage = "spec-bdd";
-  const FlowRow row = run_flow("rd53", opt);
+  // The limits are unlimited; the armed stage site alone makes run_flow
+  // attach a governor to each flow.
+  FaultPlan p;
+  p.trip_at_stage = "spec-bdd";
+  ScopedFaultPlan plan(p);
+  const FlowRow row = run_flow("rd53", FlowOptions{});
   EXPECT_TRUE(row.ours_status.is_failed()) << row.ours_status.to_string();
   EXPECT_TRUE(row.base_status.is_ok()) << row.base_status.to_string();
   EXPECT_GT(row.base_lits, 0u);

@@ -309,6 +309,39 @@ TEST(Resilience, WithoutRetriesTheInjectedFaultFailsTheRow) {
   EXPECT_EQ(r.rows[0].attempts, 1);
 }
 
+TEST(Resilience, AllocFaultIsAbsorbedInOneAttemptStageFaultSurvivesRetry) {
+  const std::vector<Benchmark> benches = adder_manifest(1);
+  BatchOptions bo;
+  bo.flow = fast_options();
+  bo.retries = 1;
+  {
+    // One-shot: the allocation trip costs one ladder rung, the next rung
+    // runs clean, so the first attempt already delivers a row.
+    FaultPlan p;
+    p.fail_at_allocation = 1;
+    ScopedFaultPlan guard(p);
+    BatchRunner runner(bo);
+    const BatchResult r = runner.run(benches);
+    ASSERT_EQ(r.rows.size(), 1u);
+    EXPECT_FALSE(r.rows[0].worst_status().is_failed());
+    EXPECT_EQ(r.rows[0].ours_status.code, ErrorCode::InjectedFault);
+    EXPECT_EQ(r.rows[0].attempts, 1);
+  }
+  {
+    // Persistent: every rung of every attempt enters spec-bdd and dies.
+    FaultPlan p;
+    p.trip_at_stage = "spec-bdd";
+    ScopedFaultPlan guard(p);
+    BatchRunner runner(bo);
+    const BatchResult r = runner.run(benches);
+    ASSERT_EQ(r.rows.size(), 1u);
+    EXPECT_TRUE(r.rows[0].ours_status.is_failed());
+    EXPECT_EQ(r.rows[0].ours_status.code, ErrorCode::InjectedFault);
+    EXPECT_EQ(r.rows[0].attempts, 2);
+    EXPECT_EQ(r.retries_used, 1u);
+  }
+}
+
 TEST(Resilience, RetriesDoNotPerturbCleanRows) {
   const std::vector<Benchmark> benches = adder_manifest(3);
   BatchOptions plain;
