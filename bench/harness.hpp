@@ -18,7 +18,6 @@
 
 #include "obs/json.hpp"
 #include "obs/report.hpp"
-#include "util/simd.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rmsyn::bench {
@@ -145,11 +144,10 @@ inline obs::Json object(Members members) {
   return o;
 }
 
-/// A BENCH document: the stamp every file carries (the bench's name, the
-/// default SIMD dispatch, the host's hardware threads), then `members`.
+/// A BENCH document: the stamp every file carries (the bench's name and
+/// the host's hardware threads), then `members`.
 inline obs::Json bench_doc(const char* bench, Members members) {
   obs::Json doc = object({{"bench", bench},
-                          {"simd_dispatch", simd::dispatch_name()},
                           {"hardware_threads",
                            std::thread::hardware_concurrency()}});
   for (const auto& [key, value] : members) doc[key] = value;

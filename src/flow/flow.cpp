@@ -236,7 +236,6 @@ obs::MetricsRegistry collect_flow_metrics(const std::vector<FlowRow>& rows) {
     if (!r.sim.empty()) stat_fields::absorb(m, "sim.", r.sim);
     if (!r.rewrite.empty()) stat_fields::absorb(m, "rewrite.", r.rewrite);
     m.absorb_status(r.worst_status());
-    m.absorb_stages(r.stages);
     m.add("flow.governor_polls", r.ours_polls + r.base_polls);
     m.add("flow.ladder_descents", r.ladder_descents);
     // Rows spliced from a pre-v3 resume journal carry no latency; skip

@@ -141,8 +141,9 @@ obs::Json flow_row_json(const FlowRow& row);
 FlowRow flow_row_from_json(const obs::Json& j);
 
 /// Aggregates a run's rows into a metrics registry: dd.* from the
-/// accumulated BddStats, flow.* outcome/poll/descent counters, stage.*
-/// histograms from the merged breakdowns.
+/// accumulated BddStats, sim.* and rewrite.* where a row ran them, and the
+/// flow.* outcome/poll/descent counters and row-latency histogram. Stage
+/// seconds stay in each row's `stages` (StageBreakdown).
 obs::MetricsRegistry collect_flow_metrics(const std::vector<FlowRow>& rows);
 
 } // namespace rmsyn

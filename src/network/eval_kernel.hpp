@@ -1,11 +1,11 @@
-// Word-range gate evaluation on the SIMD kernels (DESIGN.md §15).
+// Word-range gate evaluation on the word kernels (DESIGN.md §15).
 //
 // Every simulator in rmsyn — the one-shot simulate() pass, SimState's
-// cached full pass and event-driven resim, and the fault overlay — boils
-// down to the same step: combine the fanin pattern words of one gate into
-// its output words. This helper is that step, shared so the scalar, AVX2
-// and NEON dispatches all see one code path and the sharded simulators
-// can evaluate an arbitrary word sub-range of a row.
+// cached full pass and event-driven resim, the fault overlay, and the
+// batched cut truth tables — boils down to the same step: combine the
+// fanin pattern words of one gate into its output words. This helper is
+// that step, shared so every caller sees one code path and the sharded
+// simulators can evaluate an arbitrary word sub-range of a row.
 //
 // Complemented gates (NAND/NOR/XNOR/NOT) may leave garbage in the unused
 // tail bits of a row's final word; callers that evaluate a range covering
@@ -26,7 +26,6 @@ namespace rmsyn {
 /// untouched. out may alias ins[k] (the kernels are pure word-wise).
 inline void eval_gate_words(GateType t, const uint64_t* const* ins,
                             std::size_t nfi, uint64_t* out, std::size_t nw) {
-  const simd::Ops& k = simd::ops();
   switch (t) {
     case GateType::Pi:
       break;
@@ -40,20 +39,21 @@ inline void eval_gate_words(GateType t, const uint64_t* const* ins,
       if (out != ins[0]) std::memcpy(out, ins[0], nw * sizeof(uint64_t));
       break;
     case GateType::Not:
-      k.v_not(out, ins[0], nw);
+      simd::v_not(out, ins[0], nw);
       break;
     case GateType::And:
     case GateType::Nand: {
       const bool inv = (t == GateType::Nand);
       if (nfi == 1) {
         if (inv)
-          k.v_not(out, ins[0], nw);
+          simd::v_not(out, ins[0], nw);
         else if (out != ins[0])
           std::memcpy(out, ins[0], nw * sizeof(uint64_t));
       } else {
-        k.v_and(out, ins[0], ins[1], nw, inv && nfi == 2);
-        for (std::size_t i = 2; i < nfi; ++i) k.v_and_acc(out, ins[i], nw);
-        if (inv && nfi > 2) k.v_not(out, out, nw);
+        simd::v_and(out, ins[0], ins[1], nw, inv && nfi == 2);
+        for (std::size_t i = 2; i < nfi; ++i)
+          simd::v_and_acc(out, ins[i], nw);
+        if (inv && nfi > 2) simd::v_not(out, out, nw);
       }
       break;
     }
@@ -62,13 +62,14 @@ inline void eval_gate_words(GateType t, const uint64_t* const* ins,
       const bool inv = (t == GateType::Nor);
       if (nfi == 1) {
         if (inv)
-          k.v_not(out, ins[0], nw);
+          simd::v_not(out, ins[0], nw);
         else if (out != ins[0])
           std::memcpy(out, ins[0], nw * sizeof(uint64_t));
       } else {
-        k.v_or(out, ins[0], ins[1], nw, inv && nfi == 2);
-        for (std::size_t i = 2; i < nfi; ++i) k.v_or_acc(out, ins[i], nw);
-        if (inv && nfi > 2) k.v_not(out, out, nw);
+        simd::v_or(out, ins[0], ins[1], nw, inv && nfi == 2);
+        for (std::size_t i = 2; i < nfi; ++i)
+          simd::v_or_acc(out, ins[i], nw);
+        if (inv && nfi > 2) simd::v_not(out, out, nw);
       }
       break;
     }
@@ -77,13 +78,14 @@ inline void eval_gate_words(GateType t, const uint64_t* const* ins,
       const bool inv = (t == GateType::Xnor);
       if (nfi == 1) {
         if (inv)
-          k.v_not(out, ins[0], nw);
+          simd::v_not(out, ins[0], nw);
         else if (out != ins[0])
           std::memcpy(out, ins[0], nw * sizeof(uint64_t));
       } else {
-        k.v_xor(out, ins[0], ins[1], nw, inv && nfi == 2);
-        for (std::size_t i = 2; i < nfi; ++i) k.v_xor_acc(out, ins[i], nw);
-        if (inv && nfi > 2) k.v_not(out, out, nw);
+        simd::v_xor(out, ins[0], ins[1], nw, inv && nfi == 2);
+        for (std::size_t i = 2; i < nfi; ++i)
+          simd::v_xor_acc(out, ins[i], nw);
+        if (inv && nfi > 2) simd::v_not(out, out, nw);
       }
       break;
     }

@@ -1,8 +1,10 @@
 #include "network/io.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <istream>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -127,6 +129,26 @@ struct BlifNames {
                                               what);
 }
 
+/// The XOR-family gate a two-input block names when its two rows are
+/// exactly the cover {01, 10} (XOR) or {00, 11} (XNOR), in either order
+/// and one output phase; an OFF-set ('0') block is the complement. This is
+/// what write_blif emits for Xor/Xnor, so round trips keep those gates.
+/// nullopt for any other block, which the generic cover path reads (and
+/// diagnoses).
+std::optional<GateType> xor_cover(const BlifNames& b) {
+  if (b.inputs.size() != 2 || b.rows.size() != 2) return std::nullopt;
+  const auto r0 = split_tokens(b.rows[0]), r1 = split_tokens(b.rows[1]);
+  if (r0.size() != 2 || r1.size() != 2 || r0[1] != r1[1] ||
+      (r0[1] != "1" && r0[1] != "0"))
+    return std::nullopt;
+  const auto [lo, hi] = std::minmax(r0[0], r1[0]);
+  bool odd;
+  if (lo == "01" && hi == "10") odd = true;
+  else if (lo == "00" && hi == "11") odd = false;
+  else return std::nullopt;
+  return odd == (r0[1] == "1") ? GateType::Xor : GateType::Xnor;
+}
+
 } // namespace
 
 Network read_blif(std::istream& in) {
@@ -243,6 +265,9 @@ Network read_blif(std::istream& in) {
           if (!toks.empty() && toks.back() == "1") value = true;
         }
         node = net.constant(value);
+      } else if (const auto x = xor_cover(b)) {
+        node = net.add_gate(*x, {signal.at(b.inputs[0]),
+                                 signal.at(b.inputs[1])});
       } else {
         std::vector<NodeId> terms;
         bool complemented_rows = false, true_rows = false;

@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -17,7 +16,6 @@ const char* to_string(MetricKind k) {
     case MetricKind::Counter: return "counter";
     case MetricKind::Gauge: return "gauge";
     case MetricKind::Histogram: return "histogram";
-    case MetricKind::Text: return "text";
   }
   return "?";
 }
@@ -77,17 +75,12 @@ double MetricValue::percentile(double q) const {
   if (count == 0) return 0.0;
   if (q <= 0.0) return min;
   if (q >= 1.0) return max;
-  if (buckets.empty()) {
-    // Legacy shard (absorb_stages' aggregated entries carry no buckets):
-    // interpolate the observed range — exact when min == max.
-    return min + q * (max - min);
-  }
   // Rank of the requested observation, 1-based (nearest-rank definition).
   const uint64_t rank = static_cast<uint64_t>(
       std::ceil(q * static_cast<double>(count)));
   const uint64_t want = rank == 0 ? 1 : rank;
   uint64_t seen = 0;
-  for (int i = 0; i < HistogramBuckets::kCount; ++i) {
+  for (int i = 0; i < static_cast<int>(buckets.size()); ++i) {
     const uint64_t in_bucket = buckets[static_cast<std::size_t>(i)];
     if (in_bucket == 0) continue;
     if (seen + in_bucket < want) {
@@ -144,13 +137,6 @@ void MetricsRegistry::set_max(std::string_view name, double v) {
   if (v > it->second.value) it->second.value = v;
 }
 
-void MetricsRegistry::set_text(std::string_view name, std::string_view v) {
-  std::lock_guard<std::mutex> lk(mu_);
-  MetricValue& m = metrics_[std::string(name)];
-  m.kind = MetricKind::Text;
-  m.text = std::string(v);
-}
-
 void MetricsRegistry::observe(std::string_view name, double v) {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = metrics_.find(name);
@@ -178,9 +164,6 @@ void MetricsRegistry::merge_locked(const std::string& name,
       if (v.value > m.value) m.value = v.value; // merge keeps the max
       break;
     case MetricKind::Histogram: m.merge_histogram(v); break;
-    case MetricKind::Text:
-      if (!v.text.empty()) m.text = v.text;
-      break;
   }
 }
 
@@ -205,12 +188,6 @@ double MetricsRegistry::gauge(std::string_view name) const {
   std::lock_guard<std::mutex> lk(mu_);
   const auto it = metrics_.find(name);
   return it == metrics_.end() ? 0.0 : it->second.value;
-}
-
-std::string MetricsRegistry::text(std::string_view name) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto it = metrics_.find(name);
-  return it == metrics_.end() ? std::string() : it->second.text;
 }
 
 double MetricsRegistry::hist_sum(std::string_view name) const {
@@ -266,18 +243,6 @@ void MetricsRegistry::absorb_status(const FlowStatus& st) {
     case FlowOutcome::Ok: add("flow.ok"); break;
     case FlowOutcome::Degraded: add("flow.degraded"); break;
     case FlowOutcome::Failed: add("flow.failed"); break;
-  }
-}
-
-void MetricsRegistry::absorb_stages(const StageBreakdown& sb) {
-  for (const StageBreakdown::Entry& e : sb.entries) {
-    const std::string name = "stage." + e.name;
-    std::lock_guard<std::mutex> lk(mu_);
-    MetricValue v;
-    v.kind = MetricKind::Histogram;
-    v.count = e.calls;
-    v.sum = v.min = v.max = e.seconds;
-    merge_locked(name, v);
   }
 }
 
@@ -406,14 +371,9 @@ void format_sim_block(const std::vector<MetricsRegistry::Entry>& es,
   // SIMD line only when a kernel pass actually ran.
   const uint64_t blocks = cnt(es, "sim.simd_blocks");
   if (blocks > 0) {
-    std::string dispatch;
-    for (const auto& e : es)
-      if (e.name == "sim.simd_dispatch") dispatch = e.v.text;
-    const double pps = gval(es, "sim.patterns_per_second");
-    std::snprintf(buf, sizeof buf,
-                  "Sim SIMD: %s dispatch, %llu blocks, %.3g patterns/s\n",
-                  dispatch.empty() ? "?" : dispatch.c_str(),
-                  static_cast<unsigned long long>(blocks), pps);
+    std::snprintf(buf, sizeof buf, "Sim SIMD: %llu blocks, %.3g patterns/s\n",
+                  static_cast<unsigned long long>(blocks),
+                  gval(es, "sim.patterns_per_second"));
     out += buf;
   }
 }
@@ -450,79 +410,28 @@ void format_rewrite_block(const std::vector<MetricsRegistry::Entry>& es,
   }
 }
 
-void format_flow_block(const std::vector<MetricsRegistry::Entry>& es,
-                       std::string& out) {
-  char buf[256];
-  std::snprintf(
-      buf, sizeof buf,
-      "Flow: %llu rows (%llu ok, %llu degraded, %llu failed), "
-      "%llu governor polls, %llu ladder descents\n",
-      static_cast<unsigned long long>(cnt(es, "flow.rows")),
-      static_cast<unsigned long long>(cnt(es, "flow.ok")),
-      static_cast<unsigned long long>(cnt(es, "flow.degraded")),
-      static_cast<unsigned long long>(cnt(es, "flow.failed")),
-      static_cast<unsigned long long>(cnt(es, "flow.governor_polls")),
-      static_cast<unsigned long long>(cnt(es, "flow.ladder_descents")));
-  out += buf;
-  const MetricValue* lat = find(es, "flow.row_seconds");
-  if (lat != nullptr && lat->count > 0) {
-    std::snprintf(buf, sizeof buf,
-                  "Row latency: p50 %.3fs, p99 %.3fs, max %.3fs (n=%llu)\n",
-                  lat->percentile(0.5), lat->percentile(0.99), lat->max,
-                  static_cast<unsigned long long>(lat->count));
-    out += buf;
-  }
-}
-
-void format_stage_block(const std::vector<MetricsRegistry::Entry>& es,
-                        std::string& out) {
-  std::vector<const MetricsRegistry::Entry*> stages;
-  for (const auto& e : es)
-    if (has_prefix(e.name, "stage.")) stages.push_back(&e);
-  std::stable_sort(stages.begin(), stages.end(),
-                   [](const MetricsRegistry::Entry* a,
-                      const MetricsRegistry::Entry* b) {
-                     return a->v.sum > b->v.sum;
-                   });
-  out += "Stages:";
-  char buf[128];
-  for (const auto* e : stages) {
-    std::snprintf(buf, sizeof buf, " %s %.3fs (%llu)",
-                  e->name.c_str() + 6, e->v.sum,
-                  static_cast<unsigned long long>(e->v.count));
-    out += buf;
-  }
-  out += "\n";
-}
-
 } // namespace
 
 std::string format_metrics_summary(const MetricsRegistry& m) {
   const std::vector<MetricsRegistry::Entry> es = m.snapshot();
   std::string out;
-  bool any_dd = false, any_sched = false, any_sim = false, any_rw = false,
-       any_flow = false, any_stage = false;
+  bool any_dd = false, any_sched = false, any_sim = false, any_rw = false;
   for (const auto& e : es) {
     any_dd |= has_prefix(e.name, "dd.");
     any_sched |= has_prefix(e.name, "sched.");
     any_sim |= has_prefix(e.name, "sim.");
     any_rw |= has_prefix(e.name, "rewrite.");
-    any_flow |= has_prefix(e.name, "flow.");
-    any_stage |= has_prefix(e.name, "stage.");
   }
   if (any_dd) format_dd_block(es, out);
   if (any_sched) format_sched_block(es, out);
   if (any_sim) format_sim_block(es, out);
   if (any_rw) format_rewrite_block(es, out);
-  if (any_flow) format_flow_block(es, out);
-  if (any_stage) format_stage_block(es, out);
   // Anything outside the well-known groups renders generically, so new
   // instrumentation shows up without formatter changes.
   char buf[192];
   for (const auto& e : es) {
     if (has_prefix(e.name, "dd.") || has_prefix(e.name, "sched.") ||
-        has_prefix(e.name, "sim.") || has_prefix(e.name, "rewrite.") ||
-        has_prefix(e.name, "flow.") || has_prefix(e.name, "stage."))
+        has_prefix(e.name, "sim.") || has_prefix(e.name, "rewrite."))
       continue;
     switch (e.v.kind) {
       case MetricKind::Counter:
@@ -540,10 +449,6 @@ std::string format_metrics_summary(const MetricsRegistry& m) {
                       static_cast<unsigned long long>(e.v.count), e.v.sum,
                       e.v.min, e.v.mean(), e.v.max, e.v.percentile(0.5),
                       e.v.percentile(0.99));
-        break;
-      case MetricKind::Text:
-        std::snprintf(buf, sizeof buf, "%s=%s\n", e.name.c_str(),
-                      e.v.text.c_str());
         break;
     }
     out += buf;

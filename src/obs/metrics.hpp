@@ -1,17 +1,16 @@
 // Metrics registry — the "how much happened" half of the obs subsystem.
 //
-// Every layer of the flow already counts things (BddStats in the DD kernel,
-// SchedStats in the work-stealing pool, governor polls and ladder descents,
-// FlowStatus outcomes, per-stage seconds), but until this PR each block had
-// its own struct AND its own hand-rolled printer. The registry unifies
-// them: named counters / gauges / histograms under dotted names
-// ("dd.cache_lookups", "sched.w0.tasks", "stage.polarity-search.seconds"),
-// one absorber driven by each stat struct's field table, and ONE
-// formatter —
-// format_metrics_summary() — that renders every summary block the CLI and
-// benches print. format_dd_kernel_summary / format_sched_summary are now
-// thin wrappers over it, and the run report serializes the same snapshot
-// as machine-readable JSON (obs/report.hpp).
+// Every layer of the flow counts things (BddStats in the DD kernel,
+// SchedStats in the work-stealing pool, SimStats, rewrite counters,
+// governor polls and ladder descents, FlowStatus outcomes). The registry
+// holds them as named counters / gauges / histograms under dotted names
+// ("dd.cache_lookups", "sched.w0.tasks", "flow.row_seconds"), filled by
+// one absorber driven by each stat struct's field table, and rendered by
+// ONE formatter — format_metrics_summary() — for every summary block the
+// CLI and benches print. format_dd_kernel_summary / format_sched_summary
+// are thin wrappers over it, and the run report serializes the same
+// snapshot as machine-readable JSON (obs/report.hpp). Per-stage seconds
+// are not metrics: they live in each row's StageBreakdown (obs/stage.hpp).
 //
 // Thread safety: all operations lock a single mutex. The registry sits on
 // reporting paths (end of a flow, end of a run), never inside kernels, so
@@ -23,8 +22,7 @@
 //   sim.*    incremental-simulation engine counters absorbed from SimStats
 //   rewrite.* cut-rewriting pass counters absorbed from rw::RewriteStats
 //   flow.*   row outcomes, governor polls/descents, row count, per-row
-//            latency histogram (flow.row_seconds — p50/p99 in batch output)
-//   stage.*  per-stage wall-clock histograms (sum = seconds, count = calls)
+//            latency histogram (flow.row_seconds), for the run report
 //   os.*     process-level gauges (os.peak_rss_mb), stamped per run report
 #pragma once
 
@@ -35,7 +33,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/stage.hpp"
 #include "util/governor.hpp"
 
 namespace rmsyn {
@@ -44,7 +41,7 @@ struct SchedStats; // sched/pool.hpp
 
 namespace obs {
 
-enum class MetricKind : uint8_t { Counter, Gauge, Histogram, Text };
+enum class MetricKind : uint8_t { Counter, Gauge, Histogram };
 
 const char* to_string(MetricKind k);
 
@@ -75,7 +72,7 @@ struct HistogramBuckets {
 
 /// One metric. Counters use `count`; gauges use `value`; histograms use
 /// count/sum/min/max plus log-spaced bucket counts that answer percentile
-/// queries (p50/p99 row latency, stage-time tails) and merge exactly
+/// queries (p50/p99 row latency) and merge exactly
 /// across per-worker shards.
 struct MetricValue {
   MetricKind kind = MetricKind::Counter;
@@ -87,9 +84,6 @@ struct MetricValue {
   /// Histogram bucket counts (HistogramBuckets layout); empty until the
   /// first observe() so counters and gauges stay small.
   std::vector<uint64_t> buckets;
-  /// Text-gauge payload (e.g. sim.simd_dispatch = "avx2"); merge keeps
-  /// the last non-empty writer.
-  std::string text;
 
   double mean() const {
     return count == 0 ? 0.0 : sum / static_cast<double>(count);
@@ -118,7 +112,6 @@ public:
   void add(std::string_view name, uint64_t delta = 1);      ///< counter
   void set(std::string_view name, double v);                ///< gauge (last)
   void set_max(std::string_view name, double v);            ///< gauge (max)
-  void set_text(std::string_view name, std::string_view v); ///< text gauge
   void observe(std::string_view name, double v);            ///< histogram
   void merge(const MetricsRegistry& o);
   void clear();
@@ -126,7 +119,6 @@ public:
   // --- readers -------------------------------------------------------------
   uint64_t counter(std::string_view name) const;
   double gauge(std::string_view name) const;
-  std::string text(std::string_view name) const;
   double hist_sum(std::string_view name) const;
   /// Bucket-interpolated quantile of a histogram metric, q in [0, 1];
   /// 0.0 for a missing or empty histogram.
@@ -148,8 +140,6 @@ public:
   void absorb_sched(const SchedStats& s);
   /// Row outcome (`flow.ok/degraded/failed`) under the given flow prefix.
   void absorb_status(const FlowStatus& st);
-  /// Per-stage histograms: stage.<name> gets (seconds, calls).
-  void absorb_stages(const StageBreakdown& sb);
 
 private:
   void merge_locked(const std::string& name, const MetricValue& v);
@@ -160,9 +150,9 @@ private:
 
 /// THE summary formatter: renders every well-known metric group present in
 /// the registry as the human-readable blocks the CLI and bench harnesses
-/// print (DD kernel line, scheduler block with per-worker rows, flow/
-/// governor line, stage breakdown line). Groups with no entries are
-/// omitted; unknown groups render generically as "name=value" lines.
+/// print (DD kernel line, scheduler block with per-worker rows, sim and
+/// rewrite lines). Groups with no entries are omitted; any other name
+/// renders generically as a "name=value" line.
 std::string format_metrics_summary(const MetricsRegistry& m);
 
 } // namespace obs

@@ -22,7 +22,6 @@ Json metrics_json(const MetricsRegistry& m) {
         v["p90"] = e.v.percentile(0.9);
         v["p99"] = e.v.percentile(0.99);
         break;
-      case MetricKind::Text: v["value"] = e.v.text; break;
     }
     out[e.name] = std::move(v);
   }

@@ -66,12 +66,14 @@ ScopedStage::ScopedStage(ResourceGovernor* gov, StageBreakdown* sb,
     : gov_(gov), sb_(sb), name_(name), span_(name) {
   if (gov_ != nullptr) outer_ = gov_->enter_stage(name);
   if (ProgressBoard::active()) ProgressBoard::instance().set_stage(name);
-  start_ns_ = now_ns();
+  start_ns_ = span_.start_ns() != 0 ? span_.start_ns() : now_ns();
 }
 
 ScopedStage::~ScopedStage() {
+  const uint64_t end_ns = now_ns();
+  span_.close_at(end_ns);
   if (sb_ != nullptr)
-    sb_->add(name_, 1e-9 * static_cast<double>(now_ns() - start_ns_));
+    sb_->add(name_, 1e-9 * static_cast<double>(end_ns - start_ns_));
   if (gov_ != nullptr) gov_->restore_stage(outer_);
 }
 

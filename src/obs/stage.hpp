@@ -15,8 +15,12 @@
 //   2. a tracer span (obs/trace.hpp) under the same name;
 //   3. wall-clock accumulation into the owning report's StageBreakdown,
 //      plus a ProgressBoard update for the heartbeat when one is running.
-// Stage scopes sit at per-output granularity (hundreds per circuit), so
-// the always-on cost — two clock reads and a vector upsert — is noise.
+// The clock is read once on entry and once on exit, and that one pair
+// times both the span and the breakdown entry, so a traced stage's span
+// duration is exactly its breakdown seconds. The breakdown is the one
+// per-row stage table (the metrics registry keeps no copy). Stage scopes
+// sit at per-output granularity (hundreds per circuit), so the always-on
+// cost — two clock reads and a vector upsert — is noise.
 #pragma once
 
 #include <cstdint>

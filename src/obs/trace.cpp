@@ -76,9 +76,8 @@ void Span::open(const char* name) {
   start_ns_ = now_ns(); // last: exclude our own bookkeeping from the span
 }
 
-void Span::close() {
-  const uint64_t end = now_ns();
-  const uint64_t dur = end > start_ns_ ? end - start_ns_ : 0;
+void Span::close(uint64_t end_ns) {
+  const uint64_t dur = end_ns > start_ns_ ? end_ns - start_ns_ : 0;
   if (prof_) Profiler::instance().frame_exit(dur);
   if (!trace_) return;
   Tracer::ThreadLog* log = Tracer::instance().log_for_this_thread();

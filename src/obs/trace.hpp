@@ -121,14 +121,24 @@ public:
   }
   explicit Span(const std::string& name) : Span(name.c_str()) {}
   ~Span() {
-    if (open_) close();
+    if (open_) close(now_ns());
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
+  /// The clock reading the span started at; 0 when no consumer captured
+  /// it (then nothing is recorded and the caller keeps its own clock).
+  uint64_t start_ns() const { return start_ns_; }
+  /// Closes the span at a clock reading the caller already took, so a
+  /// scope that also times itself (ScopedStage) records one duration.
+  void close_at(uint64_t end_ns) {
+    if (open_) close(end_ns);
+    open_ = false;
+  }
+
 private:
   void open(const char* name);
-  void close();
+  void close(uint64_t end_ns);
 
   char name_[48] = {0};
   uint64_t start_ns_ = 0;

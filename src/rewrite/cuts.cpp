@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "network/eval_kernel.hpp"
 #include "rewrite/npn.hpp"
 #include "util/governor.hpp"
 #include "util/simd.hpp"
@@ -223,11 +224,10 @@ void cut_tts_batch(const Network& net, NodeId root,
   // any lane (not leaf-everywhere) would fail only some lanes, which the
   // scalar fallback decides instead. Under those guards every lane's
   // value is, by induction over the cone, exactly eval_cone's.
-  const simd::Ops& kr = simd::ops();
   std::unordered_map<NodeId, std::vector<uint64_t>> val;
   val.reserve(32);
   std::vector<uint64_t> tmp(nwords);
-  const uint64_t* ins_small[8];
+  const uint64_t* ins_small[kEvalInlineFanins];
   std::vector<const uint64_t*> ins_big;
   int expanded = 0;
   std::vector<NodeId> stack{root};
@@ -275,58 +275,15 @@ void cut_tts_batch(const Network& net, NodeId root,
     }
     stack.pop_back();
     const uint64_t** ins = ins_small;
-    if (fi.size() > 8) {
+    if (fi.size() > kEvalInlineFanins) {
       ins_big.resize(fi.size());
       ins = ins_big.data();
     }
     for (std::size_t k = 0; k < fi.size(); ++k) ins[k] = val[fi[k]].data();
-    switch (t) {
-      case GateType::Buf:
-        std::copy(ins[0], ins[0] + nwords, tmp.data());
-        break;
-      case GateType::Not:
-        kr.v_not(tmp.data(), ins[0], nwords);
-        break;
-      case GateType::And:
-      case GateType::Nand:
-        if (fi.size() == 1) {
-          std::copy(ins[0], ins[0] + nwords, tmp.data());
-        } else {
-          kr.v_and(tmp.data(), ins[0], ins[1], nwords, false);
-          for (std::size_t k = 2; k < fi.size(); ++k)
-            kr.v_and_acc(tmp.data(), ins[k], nwords);
-        }
-        if (t == GateType::Nand) kr.v_not(tmp.data(), tmp.data(), nwords);
-        break;
-      case GateType::Or:
-      case GateType::Nor:
-        if (fi.size() == 1) {
-          std::copy(ins[0], ins[0] + nwords, tmp.data());
-        } else {
-          kr.v_or(tmp.data(), ins[0], ins[1], nwords, false);
-          for (std::size_t k = 2; k < fi.size(); ++k)
-            kr.v_or_acc(tmp.data(), ins[k], nwords);
-        }
-        if (t == GateType::Nor) kr.v_not(tmp.data(), tmp.data(), nwords);
-        break;
-      case GateType::Xor:
-      case GateType::Xnor:
-        if (fi.size() == 1) {
-          std::copy(ins[0], ins[0] + nwords, tmp.data());
-        } else {
-          kr.v_xor(tmp.data(), ins[0], ins[1], nwords, false);
-          for (std::size_t k = 2; k < fi.size(); ++k)
-            kr.v_xor_acc(tmp.data(), ins[k], nwords);
-        }
-        if (t == GateType::Xnor) kr.v_not(tmp.data(), tmp.data(), nwords);
-        break;
-      default:
-        scalar_fallback();
-        return;
-    }
+    eval_gate_words(t, ins, fi.size(), tmp.data(), nwords);
     if (li != leaves.end())
-      kr.v_mux(tmp.data(), li->second.mask.data(), li->second.proj.data(),
-               tmp.data(), nwords);
+      simd::v_mux(tmp.data(), li->second.mask.data(),
+                  li->second.proj.data(), tmp.data(), nwords);
     val.emplace(n, tmp);
   }
 

@@ -71,7 +71,7 @@ bool cut_tt(const Network& net, NodeId root, const Cut& cut, uint16_t* tt,
 
 /// Batch form of cut_tt over all cuts of one root: the 16-bit tables are
 /// lane-packed four per 64-bit word and the shared cone is evaluated once
-/// through the SIMD kernels, with a per-node mux splicing leaf projections
+/// through the word kernels, with a per-node mux splicing leaf projections
 /// into the lanes where that node is a leaf. Exact by construction —
 /// whenever the single union-cone walk cannot guarantee per-cut-identical
 /// results (union cone over max_cone, a dead node, or a PI that is not a

@@ -70,7 +70,6 @@ SimState::SimState(const Network& net, PatternSet patterns, ThreadPool* pool)
   ++stats_.full_passes;
   stats_.patterns_simulated += np;
   stats_.full_pass_seconds += watch.seconds();
-  stats_.simd_dispatch = simd::dispatch_name();
 }
 
 std::vector<BitVec> SimState::po_values() const {
@@ -251,7 +250,7 @@ bool FaultProber::detects(const SimState& s, NodeId node, int pin,
   const std::size_t bpe = blocks_per_eval((np + 63) / 64);
 
   // Evaluates node m with faulty overlay values (and, for the seed, the
-  // forced pin) through the SIMD kernels into scratch_.
+  // forced pin) through the word kernels into scratch_.
   const uint64_t* ins_inline[kEvalInlineFanins];
   std::vector<const uint64_t*> ins_heap;
   const auto eval_overlay = [&](NodeId m, int forced_pin) {

@@ -62,15 +62,12 @@ struct SimStats {
   uint64_t faults_dropped = 0; ///< faults detected before the last block
   uint64_t blocks_skipped = 0; ///< pattern blocks skipped via dropping
   uint64_t value_reuses = 0;   ///< cached good values served to clients
-  /// 256-bit pattern blocks routed through the SIMD kernels, counted per
+  /// 256-bit pattern blocks routed through the word kernels, counted per
   /// node evaluation as ceil(words / simd::kBlockWords) — independent of
   /// sharding, so `--jobs N` reports the same number as serial.
   uint64_t simd_blocks = 0;
   uint64_t patterns_simulated = 0; ///< patterns x full passes (throughput)
   double full_pass_seconds = 0.0;  ///< wall time inside full passes
-  /// Active kernel dispatch ("scalar"/"avx2"/"neon"); process-wide, so
-  /// accumulate keeps any non-null contributor.
-  const char* simd_dispatch = nullptr;
 
   /// Full-pass throughput (pattern-evaluations per second); 0 when no
   /// timed full pass ran.
@@ -99,7 +96,6 @@ struct SimStats {
     v("patterns_simulated", &SimStats::patterns_simulated, StatKind::Internal);
     v("full_pass_seconds", &SimStats::full_pass_seconds, StatKind::Internal);
     v("patterns_per_second", &SimStats::patterns_per_second, StatKind::Rate);
-    v("simd_dispatch", &SimStats::simd_dispatch, StatKind::Text);
   }
 };
 

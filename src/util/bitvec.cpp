@@ -39,7 +39,7 @@ void BitVec::set_all() {
 }
 
 void BitVec::flip_all() {
-  simd::ops().v_not(words_.data(), words_.data(), words_.size());
+  simd::v_not(words_.data(), words_.data(), words_.size());
   mask_tail();
 }
 
@@ -59,19 +59,19 @@ void BitVec::resize(std::size_t nbits, bool value) {
 std::size_t BitVec::count() const {
   assert_tail_clear();
   return static_cast<std::size_t>(
-      simd::ops().v_popcount(words_.data(), words_.size()));
+      simd::v_popcount(words_.data(), words_.size()));
 }
 
 bool BitVec::any() const {
   assert_tail_clear();
-  return simd::ops().v_any(words_.data(), words_.size());
+  return simd::v_any(words_.data(), words_.size());
 }
 
 bool BitVec::differs(const BitVec& o) const {
   assert_tail_clear();
   o.assert_tail_clear();
   if (nbits_ != o.nbits_) return true;
-  return simd::ops().v_any_diff(words_.data(), o.words_.data(), words_.size());
+  return simd::v_any_diff(words_.data(), o.words_.data(), words_.size());
 }
 
 bool BitVec::is_subset_of(const BitVec& other) const {
@@ -103,15 +103,15 @@ std::size_t BitVec::next_set(std::size_t from) const {
 }
 
 BitVec& BitVec::operator&=(const BitVec& o) {
-  simd::ops().v_and_acc(words_.data(), o.words_.data(), words_.size());
+  simd::v_and_acc(words_.data(), o.words_.data(), words_.size());
   return *this;
 }
 BitVec& BitVec::operator|=(const BitVec& o) {
-  simd::ops().v_or_acc(words_.data(), o.words_.data(), words_.size());
+  simd::v_or_acc(words_.data(), o.words_.data(), words_.size());
   return *this;
 }
 BitVec& BitVec::operator^=(const BitVec& o) {
-  simd::ops().v_xor_acc(words_.data(), o.words_.data(), words_.size());
+  simd::v_xor_acc(words_.data(), o.words_.data(), words_.size());
   return *this;
 }
 

@@ -24,7 +24,7 @@ public:
   uint64_t word(std::size_t w) const { return words_[w]; }
   uint64_t& word(std::size_t w) { return words_[w]; }
 
-  /// Raw word storage, for the SIMD kernels and sharded writers.
+  /// Raw word storage, for the word kernels and sharded writers.
   /// Callers writing through data() must re-establish the tail invariant
   /// (unused bits of the last word zero) with mask_tail() when done.
   const uint64_t* data() const { return words_.data(); }

@@ -1,100 +1,114 @@
-// Portable SIMD layer for the bit-parallel hot paths (DESIGN.md §15).
+// Word kernels for the bit-parallel paths (DESIGN.md §15).
 //
-// Everything performance-critical in rmsyn is word-parallel Boolean
-// algebra over arrays of 64-bit pattern words: good-value simulation,
-// fault probing, signature compares and the packed cut truth-table
-// kernels. This header exposes those inner loops as a small fixed set of
-// kernels — and/or/xor (with fused complement), accumulate variants for
-// n-ary gates, andnot, mux, any-bit / all-bits tests, an early-exit
-// "do these differ" compare and a popcount — behind one dispatch table.
+// Good-value simulation, fault probing, signature compares and the packed
+// cut truth-table kernels are all word-parallel Boolean algebra over
+// arrays of 64-bit pattern words. These are their inner loops, written
+// once as plain word loops: and/or/xor (with fused complement),
+// accumulate variants for n-ary gates, not, andnot, mux, any-bit /
+// all-bits tests, an early-exit "do these differ" compare and a popcount.
+// The compiler's auto-vectorizer is the only vectorization.
 //
-// Dispatch: the best target the host supports is selected exactly once
-// (AVX2 on x86-64, NEON on aarch64, scalar everywhere else) and can be
-// overridden with RMSYN_SIMD=scalar|avx2|neon for testing, CI legs and
-// benchmarking. All targets are bit-identical by contract: a kernel is a
-// pure word-wise function, so the only thing a target changes is speed.
-// The forced-scalar fallback is compiled with auto-vectorization disabled
-// so "scalar" really measures one word per operation — it is the honesty
-// baseline the bench_sim throughput gate compares against, not just a
-// portability shim.
-//
-// The logical block is 256 bits (kBlockWords x 64); AVX2 maps it onto one
-// ymm op, NEON onto two 128-bit ops, scalar onto four word ops. Arrays
-// need no alignment (unaligned loads throughout) and tails shorter than a
-// block fall back to word ops inside every kernel.
-//
-// Thread safety: ops() is safe to call from any thread after the first
-// call. force_dispatch() swaps the active table and must only be called
-// while no other thread is inside a kernel (tests and benches call it
-// between phases).
+// Arrays need no alignment, and dst may alias any source in every kernel
+// (each is a pure word-wise function).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace rmsyn::simd {
 
-/// Words per logical SIMD block (256 bits).
+/// Words per logical block (256 bits): the unit SimStats::simd_blocks
+/// counts in.
 inline constexpr std::size_t kBlockWords = 4;
 
-enum class Dispatch : uint8_t { Scalar = 0, Avx2 = 1, Neon = 2 };
+// dst[i] = a[i] OP b[i], complemented when invert (NAND/NOR/XNOR gates
+// fuse the trailing complement into the same pass over memory).
+inline void v_and(uint64_t* dst, const uint64_t* a, const uint64_t* b,
+                  std::size_t n, bool invert) {
+  const uint64_t flip = invert ? ~0ull : 0ull;
+  for (std::size_t i = 0; i < n; ++i) dst[i] = (a[i] & b[i]) ^ flip;
+}
 
-const char* to_string(Dispatch d);
+inline void v_or(uint64_t* dst, const uint64_t* a, const uint64_t* b,
+                 std::size_t n, bool invert) {
+  const uint64_t flip = invert ? ~0ull : 0ull;
+  for (std::size_t i = 0; i < n; ++i) dst[i] = (a[i] | b[i]) ^ flip;
+}
 
-/// The kernel table. `invert` fuses the trailing complement (NAND/NOR/
-/// XNOR gates) into the same pass over memory. dst may alias a or b in
-/// every kernel (pure word-wise operations).
-struct Ops {
-  Dispatch dispatch = Dispatch::Scalar;
+inline void v_xor(uint64_t* dst, const uint64_t* a, const uint64_t* b,
+                  std::size_t n, bool invert) {
+  const uint64_t flip = invert ? ~0ull : 0ull;
+  for (std::size_t i = 0; i < n; ++i) dst[i] = (a[i] ^ b[i]) ^ flip;
+}
 
-  // dst[i] = a[i] OP b[i], complemented when invert.
-  void (*v_and)(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                std::size_t n, bool invert);
-  void (*v_or)(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-               std::size_t n, bool invert);
-  void (*v_xor)(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                std::size_t n, bool invert);
-  // dst[i] OP= a[i] (n-ary gate folds).
-  void (*v_and_acc)(uint64_t* dst, const uint64_t* a, std::size_t n);
-  void (*v_or_acc)(uint64_t* dst, const uint64_t* a, std::size_t n);
-  void (*v_xor_acc)(uint64_t* dst, const uint64_t* a, std::size_t n);
-  // dst[i] = ~a[i] (callers re-mask the tail word).
-  void (*v_not)(uint64_t* dst, const uint64_t* a, std::size_t n);
-  // dst[i] = a[i] & ~b[i].
-  void (*v_andnot)(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                   std::size_t n);
-  // dst[i] = (m[i] & a[i]) | (~m[i] & b[i]) — lane select, used by the
-  // batched cut truth-table kernel to splice leaf projections in.
-  void (*v_mux)(uint64_t* dst, const uint64_t* m, const uint64_t* a,
-                const uint64_t* b, std::size_t n);
-  // True when any bit of a[0..n) is set (early exit per block).
-  bool (*v_any)(const uint64_t* a, std::size_t n);
-  // True when every bit of every word is set (tail handling is the
-  // caller's problem — pass full words only).
-  bool (*v_all)(const uint64_t* a, std::size_t n);
-  // True when a and b differ anywhere: fused XOR + any-bit with early
-  // exit, the fault-detection primitive.
-  bool (*v_any_diff)(const uint64_t* a, const uint64_t* b, std::size_t n);
-  // Population count over the array (signature stats, fault coverage).
-  uint64_t (*v_popcount)(const uint64_t* a, std::size_t n);
-};
+// dst[i] OP= a[i] (n-ary gate folds).
+inline void v_and_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] &= a[i];
+}
 
-/// The active kernel table. First call selects the best target the host
-/// supports, honoring RMSYN_SIMD=scalar|avx2|neon (an unavailable request
-/// falls back to the best available and warns once on stderr).
-const Ops& ops();
+inline void v_or_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] |= a[i];
+}
 
-/// Name of the active dispatch target: "scalar", "avx2" or "neon".
-const char* dispatch_name();
+inline void v_xor_acc(uint64_t* dst, const uint64_t* a, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] ^= a[i];
+}
 
-/// Targets reachable on this host, best first (always contains "scalar").
-std::vector<std::string> available_dispatches();
+// dst[i] = ~a[i] (callers re-mask the tail word).
+inline void v_not(uint64_t* dst, const uint64_t* a, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = ~a[i];
+}
 
-/// Forces a specific target (for tests and benches). Returns false and
-/// leaves the dispatch unchanged when the target is unknown or the host
-/// cannot run it. Not safe concurrently with running kernels.
-bool force_dispatch(const std::string& name);
+// dst[i] = a[i] & ~b[i].
+inline void v_andnot(uint64_t* dst, const uint64_t* a, const uint64_t* b,
+                     std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = a[i] & ~b[i];
+}
+
+// dst[i] = (m[i] & a[i]) | (~m[i] & b[i]) — lane select, used by the
+// batched cut truth-table kernel to splice leaf projections in.
+inline void v_mux(uint64_t* dst, const uint64_t* m, const uint64_t* a,
+                  const uint64_t* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = (m[i] & a[i]) | (~m[i] & b[i]);
+}
+
+// True when any bit of a[0..n) is set.
+inline bool v_any(const uint64_t* a, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    if (a[i] != 0) return true;
+  return false;
+}
+
+// True when every bit of every word is set (tail handling is the caller's
+// problem — pass full words only).
+inline bool v_all(const uint64_t* a, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    if (a[i] != ~0ull) return false;
+  return true;
+}
+
+// True when a and b differ anywhere, with early exit: the fault-detection
+// primitive.
+inline bool v_any_diff(const uint64_t* a, const uint64_t* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    if (a[i] != b[i]) return true;
+  return false;
+}
+
+// Population count over the array (signature stats, fault coverage,
+// sampled power). Counted bitwise within the word (SWAR): the baseline
+// x86-64 target has no popcount instruction, so std::popcount is a
+// library call per word, about three times slower than this loop.
+inline uint64_t v_popcount(const uint64_t* a, std::size_t n) {
+  uint64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    uint64_t x = a[i];
+    x -= (x >> 1) & 0x5555555555555555ull;
+    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    total += (x * 0x0101010101010101ull) >> 56;
+  }
+  return total;
+}
 
 } // namespace rmsyn::simd

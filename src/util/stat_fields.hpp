@@ -34,7 +34,6 @@ enum class StatKind : uint8_t {
   PhaseSeconds, ///< summed; a histogram observation only when nonzero (a
                 ///< phase that never ran, or a row read back from JSON,
                 ///< adds none)
-  Text,         ///< const char*; any non-null contributor wins; text gauge
   Internal,     ///< summed; not exported (feeds a derived metric)
   Rate,         ///< const member function, never stored or merged;
                 ///< exported as a max gauge when positive
@@ -49,9 +48,7 @@ void accumulate(S& into, const S& from) {
     if constexpr (std::is_member_object_pointer_v<decltype(member)>) {
       auto& a = into.*member;
       const auto& b = from.*member;
-      if constexpr (std::is_pointer_v<std::remove_cvref_t<decltype(a)>>) {
-        if (b != nullptr) a = b;
-      } else if (kind == StatKind::Peak) {
+      if (kind == StatKind::Peak) {
         if (b > a) a = b;
       } else {
         a += b;
@@ -75,7 +72,7 @@ bool empty(const S& s) {
 }
 
 /// Exports every field under `prefix` + its table name into a metrics sink
-/// (obs::MetricsRegistry's add / set_max / observe / set_text).
+/// (obs::MetricsRegistry's add / set_max / observe).
 template <class Sink, class S>
 void absorb(Sink& sink, std::string_view prefix, const S& s) {
   std::string name;
@@ -84,9 +81,6 @@ void absorb(Sink& sink, std::string_view prefix, const S& s) {
     if constexpr (std::is_member_function_pointer_v<decltype(member)>) {
       const double r = (s.*member)();
       if (r > 0.0) sink.set_max(name, r);
-    } else if constexpr (std::is_pointer_v<
-                             std::remove_cvref_t<decltype(s.*member)>>) {
-      if (s.*member != nullptr) sink.set_text(name, s.*member);
     } else {
       const auto v = s.*member;
       switch (kind) {

@@ -139,7 +139,7 @@ INSTANTIATE_TEST_SUITE_P(Widths, BitVecRandom,
                          ::testing::Values(1, 7, 63, 64, 65, 127, 128, 200, 513));
 
 TEST(BitVec, TailInvariantHoldsAtConstructionAndAfterMaskTail) {
-  // The SIMD kernels rely on the unused bits of the final word being zero
+  // The word kernels rely on the unused bits of the final word being zero
   // (count/any/differs read whole words); every constructor and mutator
   // must uphold it, and raw data() writers restore it via mask_tail().
   for (const std::size_t width : {1u, 63u, 64u, 65u, 130u}) {

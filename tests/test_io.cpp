@@ -10,6 +10,16 @@
 namespace rmsyn {
 namespace {
 
+/// Live Xor + Xnor gates.
+std::size_t xor_gate_count(const Network& net) {
+  const auto live = net.live_mask();
+  std::size_t n = 0;
+  for (NodeId i = 0; i < net.node_count(); ++i)
+    n += live[i] && (net.type(i) == GateType::Xor ||
+                     net.type(i) == GateType::Xnor);
+  return n;
+}
+
 TEST(BlifReader, ParsesHandWrittenModel) {
   const std::string text = R"(
 # a full adder
@@ -31,6 +41,8 @@ TEST(BlifReader, ParsesHandWrittenModel) {
   const Network net = read_blif_string(text);
   EXPECT_EQ(net.pi_count(), 3u);
   EXPECT_EQ(net.po_count(), 2u);
+  // Both `01 1` / `10 1` blocks read as XOR gates, not SOP covers.
+  EXPECT_EQ(xor_gate_count(net), 2u);
   for (int a = 0; a < 2; ++a)
     for (int b = 0; b < 2; ++b)
       for (int c = 0; c < 2; ++c) {
@@ -38,6 +50,40 @@ TEST(BlifReader, ParsesHandWrittenModel) {
         EXPECT_EQ(out[0], ((a + b + c) & 1) != 0);
         EXPECT_EQ(out[1], a + b + c >= 2);
       }
+}
+
+TEST(BlifReader, XorCoversReadAsXorGatesInEitherOrderAndPhase) {
+  // f = a^b (rows reversed), g = a xnor b, h = ~(a^b) from OFF-set rows,
+  // k = a^b as a three-row cover (not the two-row pattern: stays SOP).
+  const std::string text = R"(
+.model x
+.inputs a b
+.outputs f g h k
+.names a b f
+10 1
+01 1
+.names a b g
+11 1
+00 1
+.names a b h
+01 0
+10 0
+.names a b k
+01 1
+10 1
+10 1
+.end
+)";
+  const Network net = read_blif_string(text);
+  EXPECT_EQ(xor_gate_count(net), 3u);
+  for (int a = 0; a < 2; ++a)
+    for (int b = 0; b < 2; ++b) {
+      const auto out = net.eval({a != 0, b != 0});
+      EXPECT_EQ(out[0], a != b);
+      EXPECT_EQ(out[1], a == b);
+      EXPECT_EQ(out[2], a == b);
+      EXPECT_EQ(out[3], a != b);
+    }
 }
 
 TEST(BlifReader, OffsetRowsComplement) {
@@ -183,6 +229,9 @@ TEST_P(BlifRoundTrip, WriteThenReadIsEquivalent) {
   const Network back = read_blif_string(write_blif_string(net, "rt"));
   const auto check = check_equivalence(net, back);
   EXPECT_TRUE(check.equivalent) << check.reason;
+  // The writer's `01 1`/`10 1` and `00 1`/`11 1` covers read back as
+  // XOR/XNOR gates, so the round trip keeps the XOR structure.
+  EXPECT_EQ(xor_gate_count(back), xor_gate_count(net));
 }
 
 INSTANTIATE_TEST_SUITE_P(Circuits, BlifRoundTrip,

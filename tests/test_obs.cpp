@@ -75,6 +75,22 @@ TEST_F(TracerTest, RecordsNestedSpansWithDepth) {
   EXPECT_TRUE(saw_inner);
 }
 
+TEST_F(TracerTest, StageSpanDurationEqualsBreakdownSeconds) {
+  // ScopedStage reads the clock once on entry and once on exit and gives
+  // that pair to both its span and its breakdown entry.
+  StageBreakdown sb;
+  { obs::ScopedStage stage(nullptr, &sb, "timed-stage"); }
+  const auto snap = obs::Tracer::instance().snapshot();
+  const obs::SpanEvent* ev = nullptr;
+  for (const auto& t : snap.threads)
+    for (const auto& e : t.events)
+      if (std::string(e.name) == "timed-stage") ev = &e;
+  ASSERT_NE(ev, nullptr);
+  ASSERT_NE(sb.find("timed-stage"), nullptr);
+  EXPECT_EQ(1e-9 * static_cast<double>(ev->dur_ns),
+            sb.seconds_for("timed-stage"));
+}
+
 TEST_F(TracerTest, DisabledSpansRecordNothing) {
   obs::Tracer::instance().disable();
   { RMSYN_SPAN("ghost"); }
@@ -372,21 +388,6 @@ TEST(HistogramPercentile, EmptyAndMissingHistogramsReturnZero) {
   EXPECT_DOUBLE_EQ(m.percentile("a.counter", 0.5), 0.0);
 }
 
-TEST(HistogramPercentile, LegacyBucketlessFallsBackToLinear) {
-  // A histogram deserialized from a pre-v3 report carries count/sum/min/max
-  // but no buckets; percentile degrades to linear interpolation over the
-  // observed range instead of returning garbage.
-  obs::MetricValue h;
-  h.kind = obs::MetricKind::Histogram;
-  h.count = 10;
-  h.sum = 5.0;
-  h.min = 1.0;
-  h.max = 3.0;
-  EXPECT_DOUBLE_EQ(h.percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 3.0);
-}
-
 TEST(HistogramPercentile, UnderflowAndOverflowBucketsClampToObservedRange) {
   obs::MetricValue h;
   h.kind = obs::MetricKind::Histogram;
@@ -515,7 +516,6 @@ TEST(MetricsRegistry, AbsorbersPopulateWellKnownGroups) {
   sim.simd_blocks = 8;
   sim.patterns_simulated = 512;
   sim.full_pass_seconds = 0.25;
-  sim.simd_dispatch = "scalar";
   stat_fields::absorb(m, "sim.", sim);
   rw::RewriteStats rws;
   rws.passes = 1;
@@ -553,7 +553,7 @@ TEST(MetricsRegistry, AbsorbersPopulateWellKnownGroups) {
       "sim.fault_probes:counter",        "sim.faults_dropped:counter",
       "sim.full_passes:counter",         "sim.incr_resims:counter",
       "sim.patterns_per_second:gauge",   "sim.simd_blocks:counter",
-      "sim.simd_dispatch:text",          "sim.value_reuses:counter"};
+      "sim.value_reuses:counter"};
   EXPECT_EQ(names, want);
   EXPECT_FALSE(m.contains("dd.live_nodes"));
   EXPECT_EQ(m.counter("sim.full_passes"), 2u);
@@ -567,7 +567,6 @@ TEST(MetricsRegistry, AbsorbersPopulateWellKnownGroups) {
   EXPECT_EQ(m.counter("sim.value_reuses"), 7u);
   EXPECT_EQ(m.counter("sim.simd_blocks"), 8u);
   EXPECT_DOUBLE_EQ(m.gauge("sim.patterns_per_second"), 2048.0);
-  EXPECT_EQ(m.text("sim.simd_dispatch"), "scalar");
   EXPECT_EQ(m.counter("rewrite.passes"), 1u);
   EXPECT_EQ(m.counter("rewrite.roots"), 2u);
   EXPECT_EQ(m.counter("rewrite.cuts_enumerated"), 3u);
@@ -592,7 +591,6 @@ TEST(MetricsRegistry, AbsorbersPopulateWellKnownGroups) {
   const obs::MetricsRegistry rows = collect_flow_metrics({busy, FlowRow{}});
   EXPECT_EQ(rows.counter("sim.events"), 40u);
   EXPECT_EQ(rows.counter("rewrite.gain_lits"), 12u);
-  EXPECT_EQ(rows.text("sim.simd_dispatch"), "scalar");
   const obs::MetricsRegistry idle = collect_flow_metrics({FlowRow{}});
   EXPECT_TRUE(idle.contains("dd.cache_lookups"));
   EXPECT_TRUE(idle.contains("dd.peak_live_nodes"));
@@ -609,20 +607,16 @@ TEST(MetricsRegistry, AbsorbersPopulateWellKnownGroups) {
   EXPECT_EQ(m.counter("flow.degraded"), 1u);
   EXPECT_EQ(m.counter("flow.failed"), 1u);
 
-  StageBreakdown sb;
-  sb.add("factor", 1.5, 3);
-  m.absorb_stages(sb);
-  EXPECT_DOUBLE_EQ(m.hist_sum("stage.factor"), 1.5);
-
   const std::string out = obs::format_metrics_summary(m);
   EXPECT_NE(out.find("DD kernel: 100 cache lookups (hit rate 60.0%)"),
             std::string::npos);
   EXPECT_NE(out.find("Scheduler: 2 workers, 13 tasks"), std::string::npos);
   EXPECT_NE(out.find("ext0"), std::string::npos);
-  EXPECT_NE(out.find("Flow: 3 rows (1 ok, 1 degraded, 1 failed)"),
+  // flow.* has no block of its own (it feeds the run report); the
+  // formatter renders it generically.
+  EXPECT_NE(out.find("flow.rows=3"), std::string::npos);
+  EXPECT_NE(out.find("Sim SIMD: 8 blocks, 2.05e+03 patterns/s"),
             std::string::npos);
-  EXPECT_NE(out.find("Stages: factor 1.500s (3)"), std::string::npos);
-  EXPECT_NE(out.find("Sim SIMD: scalar dispatch, 8 blocks"), std::string::npos);
   EXPECT_NE(out.find("Rewrite: 1 passes over 2 roots, 3 cuts (4 db hits), "
                      "5 candidates -> 7 applied (6 stale"),
             std::string::npos);
@@ -907,7 +901,8 @@ TEST(FlowIntegration, RunFlowFillsStageBreakdownAndRowJson) {
   obs::MetricsRegistry m = collect_flow_metrics({row});
   EXPECT_EQ(m.counter("flow.rows"), 1u);
   EXPECT_GT(m.counter("dd.cache_lookups"), 0u);
-  EXPECT_GT(m.hist_sum("stage.spec-bdd"), 0.0);
+  // The row's breakdown is the one stage table; the registry keeps no copy.
+  EXPECT_FALSE(m.contains("stage.spec-bdd"));
 }
 
 TEST(FlowIntegration, GovernedFlowReportsPolls) {

@@ -9,7 +9,6 @@
 
 #include "benchgen/spec.hpp"
 #include "equiv/equiv.hpp"
-#include "network/io.hpp"
 #include "network/stats.hpp"
 #include "network/transform.hpp"
 #include "rewrite/cuts.hpp"
@@ -19,7 +18,6 @@
 #include "util/errors.hpp"
 #include "util/governor.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace rmsyn {
 namespace {
@@ -182,59 +180,36 @@ TEST(Cuts, EnumeratesCorrectTablesOnASmallCone) {
 TEST(Cuts, BatchedTablesMatchPerCutWalkUnderEveryDispatch) {
   // cut_tts_batch's contract is exactness: for every cut, (ok, tt) must
   // equal the scalar cut_tt walk — whether the lane-packed union-cone
-  // path survived or fell back. Checked on real enumerated cut sets under
-  // every reachable SIMD dispatch, and with a tiny max_cone to force the
-  // fallback path through the same contract.
-  const std::string saved = simd::dispatch_name();
+  // path survived or fell back. Checked on real enumerated cut sets, and
+  // with a tiny max_cone to force the fallback path through the same
+  // contract.
   for (const char* name : {"rd53", "mlp4", "z4ml", "my_adder"}) {
     const Network net = decompose2(strash(make_benchmark(name).spec));
     const auto order = net.topo_order();
     const auto sets = rw::enumerate_cuts(net, order, rw::CutOptions{});
-    for (const std::string& target : simd::available_dispatches()) {
-      ASSERT_TRUE(simd::force_dispatch(target));
-      for (const NodeId root : order) {
-        if (root >= sets.size() || sets[root].empty()) continue;
-        for (const int max_cone : {128, 3}) {
-          std::vector<uint16_t> tts;
-          std::vector<uint8_t> ok;
-          rw::cut_tts_batch(net, root, sets[root], &tts, &ok, max_cone);
-          ASSERT_EQ(tts.size(), sets[root].size());
-          ASSERT_EQ(ok.size(), sets[root].size());
-          for (std::size_t i = 0; i < sets[root].size(); ++i) {
-            uint16_t want = 0;
-            const bool want_ok =
-                rw::cut_tt(net, root, sets[root][i], &want, max_cone);
-            ASSERT_EQ(ok[i] != 0, want_ok)
-                << name << " " << target << " root " << root << " cut " << i
-                << " max_cone " << max_cone;
-            if (want_ok)
-              ASSERT_EQ(tts[i], want)
-                  << name << " " << target << " root " << root << " cut " << i;
+    for (const NodeId root : order) {
+      if (root >= sets.size() || sets[root].empty()) continue;
+      for (const int max_cone : {128, 3}) {
+        std::vector<uint16_t> tts;
+        std::vector<uint8_t> ok;
+        rw::cut_tts_batch(net, root, sets[root], &tts, &ok, max_cone);
+        ASSERT_EQ(tts.size(), sets[root].size());
+        ASSERT_EQ(ok.size(), sets[root].size());
+        for (std::size_t i = 0; i < sets[root].size(); ++i) {
+          uint16_t want = 0;
+          const bool want_ok =
+              rw::cut_tt(net, root, sets[root][i], &want, max_cone);
+          ASSERT_EQ(ok[i] != 0, want_ok) << name << " root " << root
+                                         << " cut " << i << " max_cone "
+                                         << max_cone;
+          if (want_ok) {
+            ASSERT_EQ(tts[i], want) << name << " root " << root << " cut "
+                                    << i;
           }
         }
       }
     }
   }
-  ASSERT_TRUE(simd::force_dispatch(saved));
-}
-
-TEST(Rewrite, DispatchTargetsProduceIdenticalNetworks) {
-  const std::string saved = simd::dispatch_name();
-  for (const char* name : {"rd53", "z4ml"}) {
-    ASSERT_TRUE(simd::force_dispatch("scalar"));
-    Network ref = make_benchmark(name).spec;
-    rw::rewrite_network(ref);
-    for (const std::string& target : simd::available_dispatches()) {
-      ASSERT_TRUE(simd::force_dispatch(target));
-      Network got = make_benchmark(name).spec;
-      rw::rewrite_network(got);
-      ASSERT_EQ(network_stats(ref).lits, network_stats(got).lits)
-          << name << " under " << target;
-      ASSERT_EQ(write_blif_string(ref, name), write_blif_string(got, name))
-          << name << " under " << target;
-    }
-  }
-  ASSERT_TRUE(simd::force_dispatch(saved));
 }
 
 // --- the pass ---------------------------------------------------------------

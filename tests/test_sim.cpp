@@ -15,7 +15,6 @@
 #include "sched/pool.hpp"
 #include "testability/faults.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace rmsyn {
 namespace {
@@ -220,116 +219,22 @@ TEST(Simulate, PoolShardingIsBitIdentical) {
   }
 }
 
-/// Runs `check` once per dispatch target reachable on this host. The
-/// layer's contract is that targets differ only in speed, so everything
-/// the engines compute must be bit-identical across them.
-template <typename Fn>
-void for_each_dispatch(Fn&& check) {
-  const std::string saved = simd::dispatch_name();
-  for (const std::string& target : simd::available_dispatches()) {
-    ASSERT_TRUE(simd::force_dispatch(target));
-    check();
-  }
-  ASSERT_TRUE(simd::force_dispatch(saved));
-}
-
-TEST(Simulate, DispatchTargetsAgreeOnEveryBenchmark) {
-  // Full-pass values under every reachable dispatch target vs forced
-  // scalar, across the whole benchgen set plus the large parameterized
-  // families — the "a target only changes speed" contract end to end.
-  std::vector<std::string> names = benchmark_names();
-  names.push_back("adder64");
-  names.push_back("mult16");
-  for (const auto& name : names) {
-    const Network net = make_benchmark(name).spec;
-    const PatternSet patterns =
-        random_patterns(net.pi_count(), 192, 0x1D0 + net.pi_count());
-    ASSERT_TRUE(simd::force_dispatch("scalar"));
-    const auto ref = simulate(net, patterns);
-    for_each_dispatch([&] {
-      const auto got = simulate(net, patterns);
-      ASSERT_EQ(ref.size(), got.size());
-      for (std::size_t n = 0; n < ref.size(); ++n)
-        ASSERT_EQ(ref[n], got[n])
-            << name << " node " << n << " under " << simd::dispatch_name();
-    });
-  }
-}
-
-TEST(SimState, DispatchTargetsAgreeOnFullPassesAndIncrementalEdits) {
-  for (const auto& name : {"z4ml", "adr4", "adder64", "mult16"}) {
-    const Network base = decompose2(strash(make_benchmark(name).spec));
-    const PatternSet patterns =
-        random_patterns(base.pi_count(), 300, 0xD15 + base.pi_count());
-
-    // Reference under forced scalar: full pass + a deterministic edit
-    // sequence of incremental resims.
-    ASSERT_TRUE(simd::force_dispatch("scalar"));
-    std::vector<std::vector<BitVec>> ref_rounds;
-    {
-      Network net = base;
-      SimState sim(net, patterns);
-      const NodeId orig_count = static_cast<NodeId>(net.node_count());
-      Rng rng(0xED17);
-      ref_rounds.push_back(sim.po_values());
-      for (int round = 0; round < 15; ++round) {
-        sim.resimulate(random_edit(net, orig_count, rng));
-        ref_rounds.push_back(sim.po_values());
-      }
-    }
-
-    for_each_dispatch([&] {
-      Network net = base;
-      SimState sim(net, patterns);
-      const NodeId orig_count = static_cast<NodeId>(net.node_count());
-      Rng rng(0xED17); // same seed => same edit sequence
-      ASSERT_EQ(sim.po_values(), ref_rounds[0])
-          << name << " under " << simd::dispatch_name();
-      for (int round = 0; round < 15; ++round) {
-        sim.resimulate(random_edit(net, orig_count, rng));
-        ASSERT_EQ(sim.po_values(), ref_rounds[round + 1])
-            << name << " round " << round << " under "
-            << simd::dispatch_name();
-      }
-    });
-  }
-}
-
-TEST(FaultSim, DispatchTargetsAgreeOnDetectionSets) {
-  for (const auto& name : {"z4ml", "my_adder", "mult8"}) {
-    const Network net = decompose2(strash(make_benchmark(name).spec));
-    const PatternSet patterns = random_patterns(net.pi_count(), 520, 0xFA17);
-    ASSERT_TRUE(simd::force_dispatch("scalar"));
-    const FaultSimResult ref = fault_simulate(net, patterns);
-    for_each_dispatch([&] {
-      const FaultSimResult got = fault_simulate(net, patterns);
-      expect_same_result(ref, got);
-    });
-  }
-}
-
 TEST(SimState, StatsCarrySimdCountersAndDispatch) {
   const Network net = decompose2(strash(make_benchmark("z4ml").spec));
   const PatternSet patterns = random_patterns(net.pi_count(), 200, 0xCAFE);
   SimState sim(net, patterns);
   EXPECT_GT(sim.stats().simd_blocks, 0u);
   EXPECT_EQ(sim.stats().patterns_simulated, 200u);
-  ASSERT_NE(sim.stats().simd_dispatch, nullptr);
-  EXPECT_EQ(std::string(sim.stats().simd_dispatch), simd::dispatch_name());
   // A timed full pass ran, so the derived rate is well-defined.
   EXPECT_GT(sim.stats().patterns_per_second(), 0.0);
   SimStats zero;
   EXPECT_EQ(zero.patterns_per_second(), 0.0);
   EXPECT_TRUE(zero.empty());
 
-  // Accumulating keeps the dispatch of any contributor that has one, in
-  // either order, and sums the counters.
+  // Accumulating sums the counters; an empty contributor adds nothing.
   SimStats acc;
   acc.accumulate(sim.stats());
   acc.accumulate(zero);
-  EXPECT_EQ(acc.simd_dispatch, sim.stats().simd_dispatch);
-  zero.accumulate(sim.stats());
-  EXPECT_EQ(zero.simd_dispatch, sim.stats().simd_dispatch);
   acc.accumulate(sim.stats());
   EXPECT_EQ(acc.full_passes, 2 * sim.stats().full_passes);
   EXPECT_EQ(acc.patterns_simulated, 400u);
