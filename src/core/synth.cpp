@@ -11,6 +11,7 @@
 #include "core/resub.hpp"
 #include "equiv/equiv.hpp"
 #include "network/transform.hpp"
+#include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rmsyn {
@@ -43,8 +44,15 @@ std::size_t saturating_count(double d) {
   return static_cast<std::size_t>(d);
 }
 
+/// Method 1 factors an output's cube list only while it holds at most this
+/// many cubes per node of the output's OFDD. Past it, rules (a)-(e) only
+/// rebuild sharing the diagram already holds, while factor_ofdd emits at
+/// most one AND and one XOR per node (DESIGN.md §3.2).
+constexpr std::size_t kMaxCubesPerOfddNode = 64;
+
 /// Method 1 (cube factoring), per-output polarity search. Outputs whose
-/// cube list exceeds the cap fall back to a per-output OFDD construction.
+/// cube list exceeds the cap, or kMaxCubesPerOfddNode cubes per OFDD node,
+/// fall back to a per-output OFDD construction.
 /// `fixed_polarity` skips the search (degradation-ladder rungs). Returns
 /// nullopt when the governor tripped mid-build: a half-built candidate
 /// must never compete on cost.
@@ -88,15 +96,20 @@ std::optional<Candidate> build_cubes_candidate(const Network& spec,
     }
     NodeId root;
     {
-      // A governed enumeration cut short also sets `truncated`, which
-      // routes the output through the (exact, structural) OFDD factoring —
-      // the result stays correct, only the cube list in the report is a
-      // prefix.
+      // A cube list far larger than its OFDD, or one the cap or a governed
+      // enumeration cut short (`truncated`), goes through the exact,
+      // structural OFDD factoring. The reported cube list is the same
+      // either way (a truncated one is a prefix).
       obs::ScopedStage stage(gov, sb, "factor");
-      if (form.truncated) {
+      const bool via_ofdd =
+          form.truncated ||
+          cand.cube_counts.back() > kMaxCubesPerOfddNode * mgr.size(ofdd.root);
+      if (via_ofdd) {
+        RMSYN_SPAN("factor-ofdd");
         root = factor_ofdd(cand.net, pi_nodes, mgr, ofdd);
         ++cand.via_ofdd;
       } else {
+        RMSYN_SPAN("factor-cubes");
         root = factor_cubes(cand.net, pi_nodes, form);
         ++cand.via_cubes;
       }
@@ -153,6 +166,7 @@ std::optional<Candidate> build_ofdd_candidate(const Network& spec,
     if (BddManager::is_invalid(full_spec)) return std::nullopt;
     {
       obs::ScopedStage stage(gov, sb, "factor");
+      RMSYN_SPAN("factor-ofdd");
       cand.net.add_po(builder.build(full_spec), spec.po_name(j));
     }
     ++cand.via_ofdd;

@@ -25,7 +25,8 @@
 namespace rmsyn {
 
 enum class FactorMethod {
-  Cubes, ///< Method 1: explicit cube factoring
+  Cubes, ///< Method 1: explicit cube factoring; an output whose cube list
+         ///< is far larger than its OFDD is built from the OFDD (DESIGN.md §3.2)
   Ofdd,  ///< Method 2: network construction from the OFDD
   Best,  ///< run both per output, keep the smaller subnetwork
 };

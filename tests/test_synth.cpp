@@ -106,6 +106,30 @@ TEST(Synth, MethodsBothWork) {
   }
 }
 
+TEST(Synth, Method1RoutesCubeListsFarLargerThanTheirOfdd) {
+  // my_adder's top carries have up to 131,071 FPRM cubes against about a
+  // hundred OFDD nodes: past kMaxCubesPerOfddNode cubes per node Method 1
+  // factors the OFDD instead, which is smaller than what rules (a)-(e)
+  // make of the cube list. The low-order outputs stay on cubes.
+  const Benchmark adder = make_benchmark("my_adder");
+  SynthOptions cubes;
+  cubes.method = FactorMethod::Cubes;
+  SynthReport rep;
+  const Network out = synthesize(adder.spec, cubes, &rep);
+  EXPECT_TRUE(check_equivalence(adder.spec, out).equivalent);
+  EXPECT_GT(rep.outputs_via_ofdd, 0u);
+  EXPECT_LT(rep.outputs_via_ofdd, adder.spec.po_count());
+  EXPECT_LE(rep.stats.lits, 384u);
+
+  // The circuits whose Method-1 network wins keep every output on cubes.
+  for (const char* name : {"cmb", "co14"}) {
+    const Benchmark bench = make_benchmark(name);
+    SynthReport won;
+    (void)synthesize(bench.spec, {}, &won);
+    EXPECT_EQ(won.outputs_via_cubes, bench.spec.po_count()) << name;
+  }
+}
+
 TEST(Synth, RedundancyRemovalReducesOrKeeps) {
   SynthOptions with, without;
   without.run_redundancy_removal = false;
