@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "baseline/divide.hpp"
 #include "baseline/kernels.hpp"
@@ -65,6 +66,24 @@ bool substitute_divisor(SopNetwork& sn, int var, const Cover& divisor, int w) {
 } // namespace
 
 int extract_kernels(SopNetwork& sn, ResourceGovernor* gov) {
+  // Each node's kernels, kept from round to round until substitute_divisor
+  // rewrites the node. add_node only widens a cover, which widens its
+  // kernels the same way, so a cached list is widened before it is keyed.
+  std::vector<std::optional<std::vector<Kernel>>> cache; // by variable
+  const auto kernels_of = [&](int n) -> const std::vector<Kernel>& {
+    const auto i = static_cast<std::size_t>(n);
+    if (cache.size() <= i) cache.resize(i + 1);
+    auto& ks = cache[i];
+    if (!ks) {
+      ks = kernels(sn.cover_of(n), kMaxKernelsPerNode);
+    } else if (!ks->empty() && ks->front().kernel.nvars() < sn.num_vars()) {
+      for (auto& k : *ks) {
+        k.kernel.resize_vars(sn.num_vars());
+        k.co_kernel.resize_vars(sn.num_vars());
+      }
+    }
+    return *ks;
+  };
   int created = 0;
   for (std::size_t round = 0; round < kMaxRounds; ++round) {
     // Gather kernels of all live nodes, grouped by canonical form.
@@ -83,7 +102,7 @@ int extract_kernels(SopNetwork& sn, ResourceGovernor* gov) {
       }
       const Cover& f = sn.cover_of(n);
       if (f.size() < 2) continue;
-      for (const auto& k : kernels(f, kMaxKernelsPerNode)) {
+      for (const auto& k : kernels_of(n)) {
         if (k.kernel.size() < 2) continue;
         auto& a = agg[canon(k.kernel)];
         if (a.nodes.empty()) {
@@ -115,7 +134,11 @@ int extract_kernels(SopNetwork& sn, ResourceGovernor* gov) {
     const int w = sn.add_node(divisor);
     divisor.resize_vars(sn.num_vars());
     bool any = false;
-    for (const int n : targets) any |= substitute_divisor(sn, n, divisor, w);
+    for (const int n : targets) {
+      if (!substitute_divisor(sn, n, divisor, w)) continue;
+      cache[static_cast<std::size_t>(n)].reset();
+      any = true;
+    }
     if (!any) break;
     ++created;
   }

@@ -9,6 +9,7 @@
 #include "core/redundancy.hpp"
 #include "equiv/equiv.hpp"
 #include "network/transform.hpp"
+#include "obs/trace.hpp"
 #include "sop/minimize.hpp"
 #include "util/stopwatch.hpp"
 
@@ -106,8 +107,15 @@ Network baseline_synthesize(const Network& spec, const BaselineOptions& opt,
     obs::ScopedStage stage(gov, sb, "baseline-extract");
     for (std::size_t round = 0; round < kExtractRounds && !out_of_budget();
          ++round) {
-      const int k = extract_kernels(sn, gov);
-      const int c = extract_cubes(sn, gov);
+      int k = 0, c = 0;
+      {
+        RMSYN_SPAN("extract-kernels");
+        k = extract_kernels(sn, gov);
+      }
+      {
+        RMSYN_SPAN("extract-cubes");
+        c = extract_cubes(sn, gov);
+      }
       rep.nodes_extracted += k + c;
       if (k + c == 0) break;
     }

@@ -290,12 +290,8 @@ Network SopNetwork::to_network() const {
     var_nodes[static_cast<std::size_t>(n)] =
         build_factored(net, cover_of(n), var_nodes);
   }
-  for (std::size_t i = 0; i < pos_.size(); ++i) {
-    const int v = pos_[i];
-    const NodeId node = is_pi(v) ? var_nodes[static_cast<std::size_t>(v)]
-                                 : var_nodes[static_cast<std::size_t>(v)];
-    net.add_po(node, po_names_[i]);
-  }
+  for (std::size_t i = 0; i < pos_.size(); ++i)
+    net.add_po(var_nodes[static_cast<std::size_t>(pos_[i])], po_names_[i]);
   return net;
 }
 

@@ -62,47 +62,68 @@ bool Cover::eval(const BitVec& assignment) const {
 
 Cover Cover::cofactor(int var, bool value) const {
   Cover r(nvars_);
-  for (Cube c : cubes_) {
-    if (c.cofactor_inplace(var, value)) r.add(std::move(c));
+  for (const Cube& c : cubes_) {
+    if (value ? c.has_neg(var) : c.has_pos(var)) continue; // vanishes
+    r.cubes_.push_back(c);
+    r.cubes_.back().cofactor_inplace(var, value);
   }
   return r;
 }
 
 Cover Cover::cofactor(const Cube& cube) const {
-  Cover r = *this;
-  for (int v = 0; v < nvars_; ++v) {
-    if (cube.has_pos(v)) r = r.cofactor(v, true);
-    else if (cube.has_neg(v)) r = r.cofactor(v, false);
+  Cover r(nvars_);
+  for (const Cube& c : cubes_) {
+    if (c.clashes(cube)) continue;
+    r.cubes_.push_back(c);
+    r.cubes_.back().drop_literals(cube);
   }
   return r;
 }
 
-namespace {
-
-// Selects the most binate variable (appears in both polarities, maximizing
-// total occurrences); returns -1 when the cover is unate.
-int most_binate_var(const Cover& f) {
-  const int n = f.nvars();
-  std::vector<int> pos_cnt(static_cast<std::size_t>(n), 0);
-  std::vector<int> neg_cnt(static_cast<std::size_t>(n), 0);
-  for (const auto& c : f.cubes()) {
-    for (std::size_t w = 0; w < c.pos_mask().words(); ++w) {
-      for (uint64_t m = c.pos_mask().word(w); m != 0; m &= m - 1)
-        ++pos_cnt[w * 64 + static_cast<std::size_t>(__builtin_ctzll(m))];
-      for (uint64_t m = c.neg_mask().word(w); m != 0; m &= m - 1)
-        ++neg_cnt[w * 64 + static_cast<std::size_t>(__builtin_ctzll(m))];
+int Cover::most_binate_var() const {
+  // Only the binate variables are counted, in per-thread scratch that is
+  // zeroed again on the way out.
+  if (cubes_.empty()) return -1;
+  const std::size_t nw = cubes_[0].pos_mask().words();
+  thread_local std::vector<uint64_t> binate, neg_or;
+  thread_local std::vector<int> count;
+  binate.assign(nw, 0); // the positive literals' union, until masked below
+  neg_or.assign(nw, 0);
+  for (const auto& c : cubes_) {
+    for (std::size_t w = 0; w < nw; ++w) {
+      binate[w] |= c.pos_mask().word(w);
+      neg_or[w] |= c.neg_mask().word(w);
+    }
+  }
+  uint64_t any = 0;
+  for (std::size_t w = 0; w < nw; ++w) {
+    binate[w] &= neg_or[w];
+    any |= binate[w];
+  }
+  if (any == 0) return -1;
+  if (count.size() < nw * 64) count.resize(nw * 64, 0);
+  for (const auto& c : cubes_) {
+    for (std::size_t w = 0; w < nw; ++w) {
+      const uint64_t lits = c.pos_mask().word(w) | c.neg_mask().word(w);
+      for (uint64_t m = lits & binate[w]; m != 0; m &= m - 1)
+        ++count[w * 64 + static_cast<std::size_t>(__builtin_ctzll(m))];
     }
   }
   int best = -1, best_score = -1;
-  for (int v = 0; v < n; ++v) {
-    const auto iv = static_cast<std::size_t>(v);
-    if (pos_cnt[iv] > 0 && neg_cnt[iv] > 0) {
-      const int score = pos_cnt[iv] + neg_cnt[iv];
-      if (score > best_score) { best_score = score; best = v; }
+  for (std::size_t w = 0; w < nw; ++w) {
+    for (uint64_t m = binate[w]; m != 0; m &= m - 1) {
+      const std::size_t v = w * 64 + static_cast<std::size_t>(__builtin_ctzll(m));
+      if (count[v] > best_score) {
+        best_score = count[v];
+        best = static_cast<int>(v);
+      }
+      count[v] = 0;
     }
   }
   return best;
 }
+
+namespace {
 
 // Any variable with a literal (used for complementing unate covers).
 int any_var(const Cover& f) {
@@ -119,7 +140,7 @@ bool tautology_rec(const Cover& f, long& budget) {
   if (f.has_universal_cube()) return true;
   if (f.empty()) return false;
   if (--budget < 0) throw TautologyBudgetExceeded{};
-  const int v = most_binate_var(f);
+  const int v = f.most_binate_var();
   if (v < 0) {
     // Unate cover: tautology iff it contains the universal cube (already
     // checked above).
@@ -140,15 +161,19 @@ Cover complement_rec(const Cover& f, long& budget) {
     // De Morgan on a single cube.
     Cover r(n);
     const Cube& c = f.cubes()[0];
-    for (int v = 0; v < n; ++v) {
-      if (!c.has_var(v)) continue;
-      Cube lit(n);
-      if (c.has_pos(v)) lit.add_neg(v); else lit.add_pos(v);
-      r.add(std::move(lit));
+    for (std::size_t w = 0; w < c.pos_mask().words(); ++w) {
+      const uint64_t pos = c.pos_mask().word(w);
+      for (uint64_t m = pos | c.neg_mask().word(w); m != 0; m &= m - 1) {
+        const int b = __builtin_ctzll(m);
+        const int v = static_cast<int>(w * 64) + b;
+        Cube lit(n);
+        if ((pos >> b) & 1) lit.add_neg(v); else lit.add_pos(v);
+        r.add(std::move(lit));
+      }
     }
     return r;
   }
-  int v = most_binate_var(f);
+  int v = f.most_binate_var();
   if (v < 0) v = any_var(f);
   if (v < 0) return Cover(n); // only universal cubes; handled above
   const Cover c0 = complement_rec(f.cofactor(v, false), budget);

@@ -50,8 +50,15 @@ public:
 
   /// Shannon cofactor with respect to var=value.
   Cover cofactor(int var, bool value) const;
-  /// Cofactor with respect to a cube (all its literal assignments).
+  /// Cofactor with respect to a cube (all its literal assignments), in one
+  /// pass: cubes that clash with `c` vanish, survivors keep cover order.
+  /// `c` may be narrower than the cover (absent words carry no literal).
   Cover cofactor(const Cube& c) const;
+
+  /// The splitting variable of tautology and complement: of the variables
+  /// with literals of both polarities, the one in the most cubes (the
+  /// lowest on a tie); -1 when the cover is unate.
+  int most_binate_var() const;
 
   /// Exact tautology check (unate reduction + Shannon expansion).
   bool is_tautology() const;
@@ -70,7 +77,8 @@ public:
   std::optional<Cover> complement_bounded(long budget) const;
 
   /// True when this cover implies/contains the given cube (the cube's
-  /// cofactor of the cover is a tautology).
+  /// cofactor of the cover is a tautology). Like cofactor(cube), the cube
+  /// may be narrower than the cover.
   bool covers_cube(const Cube& c) const;
 
   /// Variables occurring in any cube, as a mask.

@@ -1,5 +1,6 @@
 #include "sop/cube.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -51,7 +52,12 @@ bool Cube::covers(const Cube& other) const {
 }
 
 bool Cube::clashes(const Cube& other) const {
-  return !pos_.disjoint(other.neg_) || !neg_.disjoint(other.pos_);
+  const std::size_t nw = std::min(pos_.words(), other.pos_.words());
+  for (std::size_t w = 0; w < nw; ++w)
+    if (((pos_.word(w) & other.neg_.word(w)) |
+         (neg_.word(w) & other.pos_.word(w))) != 0)
+      return true;
+  return false;
 }
 
 int Cube::distance(const Cube& other) const {
@@ -81,6 +87,15 @@ bool Cube::cofactor_inplace(int v, bool value) {
     neg_.set(v, false);
   }
   return true;
+}
+
+void Cube::drop_literals(const Cube& lits) {
+  const std::size_t nw = std::min(pos_.words(), lits.pos_.words());
+  for (std::size_t w = 0; w < nw; ++w) {
+    const uint64_t keep = ~(lits.pos_.word(w) | lits.neg_.word(w));
+    pos_.word(w) &= keep;
+    neg_.word(w) &= keep;
+  }
 }
 
 bool Cube::divisible_by(const Cube& divisor) const {

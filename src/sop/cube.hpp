@@ -56,6 +56,7 @@ public:
   bool covers(const Cube& other) const;
 
   /// True when the two cubes share a variable with opposite polarity.
+  /// The narrower cube's absent words carry no literal.
   bool clashes(const Cube& other) const;
 
   /// Number of variables in which the cubes have opposite literals.
@@ -68,6 +69,11 @@ public:
   /// matching literal. Returns false when the cube vanishes (clashing
   /// literal).
   bool cofactor_inplace(int v, bool value);
+
+  /// Drops every literal that `lits` also has, in either polarity (the
+  /// cofactor by `lits` of a cube that does not clash with it). `lits` may
+  /// be narrower: its absent words carry no literal.
+  void drop_literals(const Cube& lits);
 
   /// Algebraic quotient *this / divisor: removes the divisor's literals.
   /// Valid only when divisor's literals are all present with same polarity.

@@ -144,12 +144,17 @@ Cover irredundant(const Cover& f) {
   });
   std::vector<bool> dead(cur.size(), false);
   for (const std::size_t i : order) {
+    // The other live cubes, cofactored by cube i in the same pass.
+    const Cube& ci = cur.cubes()[i];
     Cover rest(cur.nvars());
-    for (std::size_t j = 0; j < cur.size(); ++j)
-      if (j != i && !dead[j]) rest.add(cur.cubes()[j]);
+    for (std::size_t j = 0; j < cur.size(); ++j) {
+      const Cube& cj = cur.cubes()[j];
+      if (j == i || dead[j] || cj.clashes(ci)) continue;
+      rest.add(cj);
+      rest.cubes().back().drop_literals(ci);
+    }
     // Bounded effort: an undecided check keeps the cube (safe).
-    if (rest.cofactor(cur.cubes()[i]).is_tautology_bounded(20000))
-      dead[i] = true;
+    if (rest.is_tautology_bounded(20000)) dead[i] = true;
   }
   Cover r(cur.nvars());
   for (std::size_t j = 0; j < cur.size(); ++j)

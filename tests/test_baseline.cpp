@@ -3,11 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "baseline/divide.hpp"
 #include "baseline/extract.hpp"
+#include "baseline/kernels.hpp"
 #include "benchgen/spec.hpp"
 #include "equiv/equiv.hpp"
 #include "network/stats.hpp"
 #include "network/transform.hpp"
+#include "sop/minimize.hpp"
 
 namespace rmsyn {
 namespace {
@@ -110,6 +118,111 @@ TEST(Baseline, MultilevelInputWhenFlattenBails) {
   const Network out = baseline_synthesize(bench.spec, {}, nullptr);
   EXPECT_TRUE(check_equivalence(bench.spec, out).equivalent);
 }
+
+// --- Oracle: kernel extraction that recomputes every census -----------------
+//
+// extract_kernels keeps each node's kernels from round to round. This is
+// the loop as it was, calling kernels() on every live node in every round;
+// both must leave the same covers behind.
+
+struct KernelKeyOracle {
+  std::vector<std::string> cubes; // sorted espresso strings
+  bool operator<(const KernelKeyOracle& o) const { return cubes < o.cubes; }
+};
+
+int extract_kernels_oracle(SopNetwork& sn) {
+  // Espresso strings order '-' < '0' < '1', as the kernel keys do.
+  const auto canon = [](const Cover& c) {
+    KernelKeyOracle k;
+    for (const auto& cube : c.cubes()) k.cubes.push_back(cube.to_string());
+    std::sort(k.cubes.begin(), k.cubes.end());
+    return k;
+  };
+  int created = 0;
+  for (int round = 0; round < 64; ++round) {
+    struct Agg {
+      Cover kernel{0};
+      std::vector<int> nodes;
+      int saving = 0;
+      int lits = 0;
+    };
+    std::map<KernelKeyOracle, Agg> agg;
+    for (const int n : sn.topo_nodes()) {
+      const Cover& f = sn.cover_of(n);
+      if (f.size() < 2) continue;
+      for (const auto& k : kernels(f, 64)) {
+        if (k.kernel.size() < 2) continue;
+        auto& a = agg[canon(k.kernel)];
+        if (a.nodes.empty()) {
+          a.kernel = k.kernel;
+          a.lits = k.kernel.literal_count();
+        }
+        const int co_lits = k.co_kernel.literal_count();
+        a.saving += static_cast<int>(k.kernel.size()) * co_lits + a.lits -
+                    co_lits - 1;
+        if (a.nodes.empty() || a.nodes.back() != n) a.nodes.push_back(n);
+      }
+    }
+    const Agg* best = nullptr;
+    int best_value = 0;
+    for (const auto& [key, a] : agg) {
+      if (a.saving - a.lits > best_value) {
+        best_value = a.saving - a.lits;
+        best = &a;
+      }
+    }
+    if (best == nullptr) break;
+    Cover divisor = best->kernel;
+    const std::vector<int> targets = best->nodes;
+    const int w = sn.add_node(divisor);
+    divisor.resize_vars(sn.num_vars());
+    bool any = false;
+    for (const int n : targets) {
+      const auto [q, r] = divide(sn.cover_of(n), divisor);
+      if (q.empty()) continue;
+      Cover next(sn.num_vars());
+      Cube wlit(sn.num_vars());
+      wlit.add_pos(w);
+      for (const auto& qc : q.cubes()) next.add(qc.intersect(wlit));
+      for (const auto& rc : r.cubes()) next.add(rc);
+      sn.set_cover(n, single_cube_containment(next));
+      any = true;
+    }
+    if (!any) break;
+    ++created;
+  }
+  return created;
+}
+
+class BaselineExtractOracle : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(BaselineExtractOracle, CachedKernelsExtractLikeRecomputedOnes) {
+  // The SOP network the extract stage sees: flattened where it fits the
+  // baseline's 1500-cube cap, every node simplified.
+  const Benchmark bench = make_benchmark(GetParam());
+  SopNetwork sn = SopNetwork::from_network(decompose2(strash(bench.spec)));
+  SopNetwork flat = sn;
+  if (flat.flatten(1500)) sn = std::move(flat);
+  for (const int n : sn.topo_nodes())
+    if (sn.cover_of(n).size() > 1) sn.set_cover(n, espresso_lite(sn.cover_of(n)));
+
+  SopNetwork cached = sn, recomputed = sn;
+  const int created = extract_kernels(cached);
+  EXPECT_GT(created, 1);
+  EXPECT_EQ(created, extract_kernels_oracle(recomputed));
+  ASSERT_EQ(cached.num_vars(), recomputed.num_vars());
+  EXPECT_EQ(cached.topo_nodes(), recomputed.topo_nodes());
+  for (int v = cached.num_pis(); v < cached.num_vars(); ++v) {
+    const auto& got = cached.cover_of(v).cubes();
+    const auto& want = recomputed.cover_of(v).cubes();
+    ASSERT_EQ(got.size(), want.size()) << "node " << v;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], want[i]) << "node " << v << " cube " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Circuits, BaselineExtractOracle,
+                         ::testing::Values("sym10", "addm4", "9sym"));
 
 } // namespace
 } // namespace rmsyn

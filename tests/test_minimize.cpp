@@ -130,6 +130,42 @@ Cover merge_oracle(const Cover& f) {
   return cur;
 }
 
+// The cofactor by a cube as one whole-cover cofactor per literal.
+Cover cofactor_chain_oracle(const Cover& f, const Cube& cube) {
+  Cover r = f;
+  for (int v = 0; v < f.nvars(); ++v) {
+    if (!cube.has_var(v)) continue;
+    Cover next(f.nvars());
+    for (Cube c : r.cubes())
+      if (c.cofactor_inplace(v, cube.has_pos(v))) next.add(std::move(c));
+    r = std::move(next);
+  }
+  return r;
+}
+
+// irredundant as it was: gather the other live cubes into `rest`, then
+// cofactor `rest` by the candidate cube.
+Cover irredundant_oracle(const Cover& f) {
+  Cover cur = scc_oracle(f);
+  auto order = std::vector<std::size_t>(cur.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return cur.cubes()[a].literal_count() > cur.cubes()[b].literal_count();
+  });
+  std::vector<bool> dead(cur.size(), false);
+  for (const std::size_t i : order) {
+    Cover rest(cur.nvars());
+    for (std::size_t j = 0; j < cur.size(); ++j)
+      if (j != i && !dead[j]) rest.add(cur.cubes()[j]);
+    if (cofactor_chain_oracle(rest, cur.cubes()[i]).is_tautology_bounded(20000))
+      dead[i] = true;
+  }
+  Cover r(cur.nvars());
+  for (std::size_t j = 0; j < cur.size(); ++j)
+    if (!dead[j]) r.add(cur.cubes()[j]);
+  return r;
+}
+
 // Random cover over `nvars` variables whose literals sit on `active` of
 // them (spread over every word), with duplicates, nested sub-cubes and
 // distance-1 pairs mixed in so every rule of both kernels fires.
@@ -210,6 +246,19 @@ TEST_P(MinimizeOracle, ContainmentAndMergeMatchQuadraticOracles) {
     const Cover f = tricky_cover(nvars, active, 4 + static_cast<int>(rng.below(60)), rng);
     expect_same_cubes(single_cube_containment(f), scc_oracle(f));
     expect_same_cubes(merge_distance_one(f), merge_oracle(f));
+  }
+}
+
+TEST_P(MinimizeOracle, IrredundantMatchesRestThenCofactorOracle) {
+  const int nvars = GetParam();
+  Rng rng(static_cast<uint64_t>(nvars) * 104729 + 7);
+  for (int iter = 0; iter < 40; ++iter) {
+    const int active = std::min(nvars, 3 + static_cast<int>(rng.below(10)));
+    const Cover f = tricky_cover(nvars, active, 4 + static_cast<int>(rng.below(40)), rng);
+    expect_same_cubes(irredundant(f), irredundant_oracle(f));
+    // After a merge pass, consensus-style redundancy is what remains.
+    const Cover m = merge_distance_one(f);
+    expect_same_cubes(irredundant(m), irredundant_oracle(m));
   }
 }
 
