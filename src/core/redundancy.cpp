@@ -1,6 +1,7 @@
 #include "core/redundancy.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <unordered_map>
@@ -8,6 +9,7 @@
 #include "bdd/bdd.hpp"
 #include "equiv/equiv.hpp"
 #include "network/transform.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace rmsyn {
@@ -15,56 +17,55 @@ namespace rmsyn {
 PatternSet fprm_pattern_set(std::size_t num_pis,
                             const std::vector<FprmForm>& forms,
                             bool include_sa1, std::size_t max_patterns) {
-  PatternSet ps(num_pis, 0);
-  // Exact pattern count (modulo the cap), so append() never reallocates.
+  // Exact pattern count, so every per-PI row is allocated once, zeroed.
   std::size_t expected = 1;
   for (const auto& form : forms) {
     expected += 2;
     for (const auto& cube : form.cubes)
       expected += 1 + (include_sa1 ? cube.count() : 0);
   }
-  ps.reserve(std::min(expected, max_patterns));
-  const auto add = [&](const BitVec& a) {
-    if (ps.num_patterns < max_patterns) ps.append(a);
-  };
+  PatternSet ps(num_pis, std::min(expected, max_patterns));
+  const std::size_t total = ps.num_patterns;
 
-  // Global all-zero assignment (the AZ pattern under all-positive polarity).
-  add(BitVec(num_pis));
-
+  // Pattern 0 is the global all-zero assignment (the AZ pattern under
+  // all-positive polarity). Every pattern leaves the PIs outside its form's
+  // support at 0, so writing a pattern only sets its support bits that are
+  // 1, read off a mask over support positions.
+  std::size_t p = 1;
   for (const auto& form : forms) {
-    // Assignment setting every literal of this form to `lit_value`;
-    // variables outside the support stay 0.
-    const auto literal_assignment = [&](bool lit_value) {
-      BitVec a(num_pis);
-      for (const int v : form.support) {
-        const auto iv = static_cast<std::size_t>(v);
-        a.set(iv, form.polarity.get(iv) == lit_value);
-      }
-      return a;
+    if (p >= total) break;
+    // az: the value each support variable takes when its literal is 0.
+    BitVec az(form.support.size());
+    for (std::size_t i = 0; i < az.size(); ++i)
+      az.set(i, !form.polarity.get(static_cast<std::size_t>(form.support[i])));
+    BitVec ao = az;
+    ao.flip_all();
+    // Writes pattern p: support position i is 1 iff bit i of word_of is.
+    const auto emit = [&](auto&& word_of) {
+      for (std::size_t w = 0; w < az.words(); ++w)
+        for (uint64_t x = word_of(w); x != 0; x &= x - 1) {
+          const std::size_t i =
+              (w << 6) + static_cast<std::size_t>(std::countr_zero(x));
+          ps.bits[static_cast<std::size_t>(form.support[i])].set(p);
+        }
+      ++p;
     };
-    add(literal_assignment(false)); // AZ under this polarity
-    add(literal_assignment(true));  // AO
+    emit([&](std::size_t w) { return az.word(w); }); // AZ under this polarity
+    if (p < total) emit([&](std::size_t w) { return ao.word(w); }); // AO
 
     for (const auto& cube : form.cubes) {
+      if (p >= total) break;
       // OC pattern: literals of the cube at 1, all other literals at 0.
-      BitVec oc = literal_assignment(false);
-      for (std::size_t i = cube.first_set(); i != BitVec::npos;
+      emit([&](std::size_t w) { return az.word(w) ^ cube.word(w); });
+      if (!include_sa1) continue;
+      // SA1 patterns: OC with one cube literal dropped to 0.
+      for (std::size_t i = cube.first_set(); i != BitVec::npos && p < total;
            i = cube.next_set(i + 1)) {
-        const auto v = static_cast<std::size_t>(form.support[i]);
-        oc.set(v, form.polarity.get(v));
+        const uint64_t drop = uint64_t{1} << (i & 63);
+        emit([&](std::size_t w) {
+          return az.word(w) ^ cube.word(w) ^ (w == (i >> 6) ? drop : 0);
+        });
       }
-      add(oc);
-      if (include_sa1) {
-        // SA1 patterns: OC with one cube literal dropped to 0.
-        for (std::size_t i = cube.first_set(); i != BitVec::npos;
-             i = cube.next_set(i + 1)) {
-          const auto v = static_cast<std::size_t>(form.support[i]);
-          BitVec sa1 = oc;
-          sa1.set(v, !form.polarity.get(v));
-          add(sa1);
-        }
-      }
-      if (ps.num_patterns >= max_patterns) return ps;
     }
   }
   return ps;
@@ -260,24 +261,43 @@ Network remove_xor_redundancy(const Network& net,
 
   // ---- Step 1: simulate the FPRM-derived pattern set, record which input
   // patterns occur at each XOR gate.
-  PatternSet patterns =
-      forms.empty()
-          ? random_patterns(work.pi_count(),
-                            std::min<std::size_t>(opt.max_patterns, 1024),
-                            0xFEEDFACE)
-          : fprm_pattern_set(work.pi_count(), forms, /*include_sa1=*/false,
-                             opt.max_patterns);
+  const PatternSet patterns = [&] {
+    RMSYN_SPAN("redundancy-patterns");
+    return forms.empty()
+               ? random_patterns(work.pi_count(),
+                                 std::min<std::size_t>(opt.max_patterns, 1024),
+                                 0xFEEDFACE)
+               : fprm_pattern_set(work.pi_count(), forms,
+                                  /*include_sa1=*/false, opt.max_patterns);
+  }();
   std::vector<uint8_t> seen(work.node_count(), 0);
   if (opt.use_pattern_filter && patterns.num_patterns > 0) {
+    RMSYN_SPAN("redundancy-sim");
     SimState sim(work, patterns);
+    // Bit (g*2+h) of seen[n] records that some pattern drives the XOR's
+    // fanins to (g,h). Values keep their tail bits zero, but ~g & ~h does
+    // not, so every term is masked to the live patterns of the last word.
+    const std::size_t nw = (patterns.num_patterns + 63) / 64;
+    const std::size_t tail = patterns.num_patterns % 64;
+    const uint64_t last_live =
+        tail == 0 ? ~uint64_t{0} : (uint64_t{1} << tail) - 1;
     for (NodeId n = 0; n < work.node_count(); ++n) {
       if (work.type(n) != GateType::Xor || work.fanins(n).size() != 2) continue;
       const BitVec& vg = sim.value(work.fanins(n)[0]);
       const BitVec& vh = sim.value(work.fanins(n)[1]);
-      for (std::size_t p = 0; p < patterns.num_patterns; ++p) {
-        const unsigned idx = (vg.get(p) ? 2u : 0u) + (vh.get(p) ? 1u : 0u);
-        seen[n] |= static_cast<uint8_t>(1u << idx);
+      uint64_t any00 = 0, any01 = 0, any10 = 0, any11 = 0;
+      for (std::size_t w = 0; w < nw; ++w) {
+        const uint64_t live = w + 1 == nw ? last_live : ~uint64_t{0};
+        const uint64_t g = vg.word(w), h = vh.word(w);
+        any00 |= ~g & ~h & live;
+        any01 |= ~g & h & live;
+        any10 |= g & ~h & live;
+        any11 |= g & h & live;
       }
+      seen[n] |= static_cast<uint8_t>((any00 != 0 ? 1u : 0u) |
+                                      (any01 != 0 ? 2u : 0u) |
+                                      (any10 != 0 ? 4u : 0u) |
+                                      (any11 != 0 ? 8u : 0u));
     }
     stats.sim.accumulate(sim.take_stats());
   }
@@ -291,50 +311,54 @@ Network remove_xor_redundancy(const Network& net,
       xors.push_back(*it);
   stats.xor_gates_before = xors.size();
 
-  for (const NodeId n : xors) {
-    if (out_of_budget()) break;
-    const NodeId g = work.fanins(n)[0];
-    const NodeId h = work.fanins(n)[1];
-    if (opt.use_pattern_filter && seen[n] == 0b1111) {
-      // Property 8/9 fast path: all four patterns demonstrated by the
-      // decidable pattern set — the gate is irreducible, no exact check.
-      ++stats.pattern_pruned;
-      continue;
-    }
-    // Decide controllability of each input pattern exactly.
-    uint8_t reachable = seen[n];
-    const BddRef fg = funcs.of(g);
-    const BddRef fh = funcs.of(h);
-    if (BddManager::is_invalid(fg) || BddManager::is_invalid(fh)) continue;
-    for (unsigned idx = 0; idx < 4; ++idx) {
-      if (reachable & (1u << idx)) continue;
-      ++stats.exact_checks;
-      const BddRef eg = (idx & 2u) ? fg : mgr.bdd_not(fg);
-      const BddRef eh = (idx & 1u) ? fh : mgr.bdd_not(fh);
-      // A budget-tripped (invalid) conjunction compares != false, i.e. the
-      // pattern counts as reachable — undecidable stays conservative.
-      if (mgr.bdd_and(eg, eh) != mgr.bdd_false()) reachable |= (1u << idx);
-    }
-    if (reachable == 0b1111) continue;
-    // Choose the cheapest gate agreeing with XOR on every reachable
-    // pattern. This subsumes Properties 3 and 4 (and the (0,0) corner).
-    for (const auto& rep : kReplacements) {
-      if (((rep.truth ^ kXorTruth) & reachable) != 0) continue;
-      if (apply_replacement(work, n, rep.kind, g, h)) {
-        using K = Replacement::Kind;
-        if (rep.kind == K::Or || rep.kind == K::Nor) ++stats.reduced_to_or;
-        else if (rep.kind == K::Nand) ++stats.reduced_to_nand;
-        else ++stats.reduced_to_andnot; // AND forms, wires and constants
+  {
+    RMSYN_SPAN("redundancy-controllability");
+    for (const NodeId n : xors) {
+      if (out_of_budget()) break;
+      const NodeId g = work.fanins(n)[0];
+      const NodeId h = work.fanins(n)[1];
+      if (opt.use_pattern_filter && seen[n] == 0b1111) {
+        // Property 8/9 fast path: all four patterns demonstrated by the
+        // decidable pattern set — the gate is irreducible, no exact check.
+        ++stats.pattern_pruned;
+        continue;
       }
-      break;
+      // Decide controllability of each input pattern exactly.
+      uint8_t reachable = seen[n];
+      const BddRef fg = funcs.of(g);
+      const BddRef fh = funcs.of(h);
+      if (BddManager::is_invalid(fg) || BddManager::is_invalid(fh)) continue;
+      for (unsigned idx = 0; idx < 4; ++idx) {
+        if (reachable & (1u << idx)) continue;
+        ++stats.exact_checks;
+        const BddRef eg = (idx & 2u) ? fg : mgr.bdd_not(fg);
+        const BddRef eh = (idx & 1u) ? fh : mgr.bdd_not(fh);
+        // A budget-tripped (invalid) conjunction compares != false, i.e. the
+        // pattern counts as reachable — undecidable stays conservative.
+        if (mgr.bdd_and(eg, eh) != mgr.bdd_false()) reachable |= (1u << idx);
+      }
+      if (reachable == 0b1111) continue;
+      // Choose the cheapest gate agreeing with XOR on every reachable
+      // pattern. This subsumes Properties 3 and 4 (and the (0,0) corner).
+      for (const auto& rep : kReplacements) {
+        if (((rep.truth ^ kXorTruth) & reachable) != 0) continue;
+        if (apply_replacement(work, n, rep.kind, g, h)) {
+          using K = Replacement::Kind;
+          if (rep.kind == K::Or || rep.kind == K::Nor) ++stats.reduced_to_or;
+          else if (rep.kind == K::Nand) ++stats.reduced_to_nand;
+          else ++stats.reduced_to_andnot; // AND forms, wires and constants
+        }
+        break;
+      }
+      // Controllability rewrites preserve the node function; nothing to
+      // invalidate, but new inverter nodes may have been added.
+      (void)funcs.of(n);
     }
-    // Controllability rewrites preserve the node function; nothing to
-    // invalidate, but new inverter nodes may have been added.
-    (void)funcs.of(n);
   }
 
   // ---- Step 3: observability domino (Properties 5-7).
   if (opt.observability_pass) {
+    RMSYN_SPAN("redundancy-observability");
     bool changed = true;
     int guard = 0;
     while (changed && guard++ < 16 && !out_of_budget()) {
@@ -441,11 +465,14 @@ Network remove_xor_redundancy(const Network& net,
   // ---- Step 4: first-level AND/OR fanin redundancy via OC/SA1 pattern
   // filtering plus exact confirmation.
   if (opt.and_fanin_pass) {
-    const PatternSet sa_patterns =
-        forms.empty()
-            ? patterns
-            : fprm_pattern_set(work.pi_count(), forms, /*include_sa1=*/true,
-                               opt.max_patterns);
+    const PatternSet sa_patterns = [&] {
+      RMSYN_SPAN("redundancy-patterns");
+      return forms.empty() ? patterns
+                           : fprm_pattern_set(work.pi_count(), forms,
+                                              /*include_sa1=*/true,
+                                              opt.max_patterns);
+    }();
+    RMSYN_SPAN("redundancy-fanin");
 
     // Cached good-simulation of `work`: each candidate rewrite below is a
     // single dirty node whose fanout cone is re-simulated incrementally —

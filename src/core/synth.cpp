@@ -1,8 +1,10 @@
 #include "core/synth.hpp"
 
 #include <limits>
+#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "util/errors.hpp"
 
@@ -20,7 +22,13 @@ namespace {
 
 struct Candidate {
   Network net;
+  /// Per-output cube lists; an output listed in `pending` has an empty
+  /// placeholder until the candidate wins.
   std::vector<FprmForm> forms;
+  /// Outputs factored from their OFDD, whose cube lists only the winner
+  /// enumerates (after selection, for Section 4 and the report). The roots
+  /// are ref()'d in the candidate's manager, which they never outlive.
+  std::vector<std::pair<std::size_t, Ofdd>> pending;
   std::vector<std::size_t> cube_counts;
   std::size_t via_cubes = 0;
   std::size_t via_ofdd = 0;
@@ -81,29 +89,31 @@ std::optional<Candidate> build_cubes_candidate(const Network& spec,
                                            : best_polarity(mgr, f, opt.polarity);
     }
     Ofdd ofdd;
+    std::size_t cubes = 0;
     {
       obs::ScopedStage stage(gov, sb, "ofdd-build");
       ofdd = build_ofdd(mgr, f, polarity);
+      if (BddManager::is_invalid(ofdd.root)) return std::nullopt;
+      cubes = saturating_count(fprm_cube_count(mgr, ofdd.root, ofdd.support));
     }
-    if (BddManager::is_invalid(ofdd.root)) return std::nullopt;
+    cand.cube_counts.push_back(cubes);
+    // A cube list over the enumeration cap, or far larger than its OFDD,
+    // goes through the exact, structural OFDD factoring and is enumerated
+    // only if this candidate wins. The reported cube list is the same
+    // either way (one over the cap is a prefix).
+    const bool enumerate = cubes <= opt.cube_limit &&
+                           cubes <= kMaxCubesPerOfddNode * mgr.size(ofdd.root);
+    bool via_ofdd = !enumerate;
     FprmForm form;
-    {
+    if (enumerate) {
       obs::ScopedStage stage(gov, sb, "fprm-extract");
       form = extract_fprm(mgr, ofdd, static_cast<int>(spec.pi_count()),
                           opt.cube_limit);
-      cand.cube_counts.push_back(
-          saturating_count(fprm_cube_count(mgr, ofdd.root, ofdd.support)));
+      via_ofdd = form.truncated; // the governor cut the enumeration short
     }
     NodeId root;
     {
-      // A cube list far larger than its OFDD, or one the cap or a governed
-      // enumeration cut short (`truncated`), goes through the exact,
-      // structural OFDD factoring. The reported cube list is the same
-      // either way (a truncated one is a prefix).
       obs::ScopedStage stage(gov, sb, "factor");
-      const bool via_ofdd =
-          form.truncated ||
-          cand.cube_counts.back() > kMaxCubesPerOfddNode * mgr.size(ofdd.root);
       if (via_ofdd) {
         RMSYN_SPAN("factor-ofdd");
         root = factor_ofdd(cand.net, pi_nodes, mgr, ofdd);
@@ -115,9 +125,13 @@ std::optional<Candidate> build_cubes_candidate(const Network& spec,
       }
     }
     cand.net.add_po(root, spec.po_name(j));
+    if (!enumerate) {
+      mgr.ref(ofdd.root);
+      cand.pending.emplace_back(j, std::move(ofdd));
+    }
     cand.forms.push_back(std::move(form));
     // This output's polarity-search spectra are dead; the spec functions
-    // stay pinned by output_bdds.
+    // stay pinned by output_bdds, pending OFDDs by their ref.
     mgr.gc();
   }
   return cand;
@@ -171,21 +185,16 @@ std::optional<Candidate> build_ofdd_candidate(const Network& spec,
     }
     ++cand.via_ofdd;
 
-    // Support-restricted form for pattern generation / reporting. Failure
-    // here only degrades the report (redundancy removal falls back to
-    // random patterns for an empty form), so it does not kill the
-    // candidate.
-    obs::ScopedStage stage(gov, sb, "fprm-extract");
-    const Ofdd ofdd = build_ofdd(mgr, f, polarity);
-    if (BddManager::is_invalid(ofdd.root)) {
-      cand.forms.emplace_back();
-      cand.cube_counts.push_back(std::numeric_limits<std::size_t>::max());
-      return std::nullopt; // the *next* rm_spectrum would fail anyway
-    }
-    cand.forms.push_back(extract_fprm(
-        mgr, ofdd, static_cast<int>(spec.pi_count()), opt.cube_limit));
+    // The support-restricted OFDD gives the reported cube count and, if
+    // this candidate wins, the cube list Section 4 reads.
+    obs::ScopedStage stage(gov, sb, "ofdd-build");
+    Ofdd ofdd = build_ofdd(mgr, f, polarity);
+    if (BddManager::is_invalid(ofdd.root)) return std::nullopt;
     cand.cube_counts.push_back(
         saturating_count(fprm_cube_count(mgr, ofdd.root, ofdd.support)));
+    cand.forms.emplace_back();
+    mgr.ref(ofdd.root);
+    cand.pending.emplace_back(j, std::move(ofdd));
   }
   return cand;
 }
@@ -223,6 +232,8 @@ Network synthesize(const Network& spec, const SynthOptions& opt,
   struct Best {
     Candidate cand;
     std::vector<std::size_t> perm;
+    /// The manager the candidate was built in: its pending OFDDs live there.
+    std::unique_ptr<BddManager> mgr;
     bool valid = false;
   } best;
 
@@ -239,7 +250,9 @@ Network synthesize(const Network& spec, const SynthOptions& opt,
       const auto& perm = orders[oi];
       const bool identity = oi == 0;
       const Network spec_p = identity ? spec : permute_pis(spec, perm);
-      BddManager mgr(static_cast<int>(spec_p.pi_count()));
+      auto owned_mgr =
+          std::make_unique<BddManager>(static_cast<int>(spec_p.pi_count()));
+      BddManager& mgr = *owned_mgr;
       mgr.set_governor(gov);
       std::vector<BddRef> spec_fn;
       {
@@ -267,6 +280,7 @@ Network synthesize(const Network& spec, const SynthOptions& opt,
         cands.push_back(
             build_ofdd_candidate(spec_p, mgr, spec_fn, opt, fixed, sb));
 
+      bool won = false;
       for (auto& oc : cands) {
         if (!oc.has_value()) continue; // tripped mid-build: discard
         Candidate& c = *oc;
@@ -284,9 +298,11 @@ Network synthesize(const Network& spec, const SynthOptions& opt,
           best.cand = std::move(c);
           best.perm = perm;
           best.valid = true;
+          won = true;
         }
       }
       rep.bdd.accumulate(mgr.stats());
+      if (won) best.mgr = std::move(owned_mgr);
     }
   };
 
@@ -323,7 +339,7 @@ Network synthesize(const Network& spec, const SynthOptions& opt,
     rep.seconds = sw.seconds();
     rep.stats = network_stats(out);
     rep.governor_polls = gov != nullptr ? gov->steps() : 0;
-    if (report != nullptr) *report = rep;
+    if (report != nullptr) *report = std::move(rep);
     return out;
   }
 
@@ -332,6 +348,19 @@ Network synthesize(const Network& spec, const SynthOptions& opt,
   rep.fprm_cube_counts = std::move(chosen.cube_counts);
   rep.outputs_via_cubes = chosen.via_cubes;
   rep.outputs_via_ofdd = chosen.via_ofdd;
+
+  // The winner's cube lists its factoring did not need, enumerated once for
+  // Section 4 and the report. A trip leaves a truncated prefix: the pattern
+  // sets weaken, the network stays correct.
+  if (!chosen.pending.empty()) {
+    (void)regain();
+    obs::ScopedStage stage(gov, sb, "fprm-extract");
+    for (const auto& [j, ofdd] : chosen.pending)
+      chosen.forms[j] = extract_fprm(*best.mgr, ofdd,
+                                     static_cast<int>(spec.pi_count()),
+                                     opt.cube_limit);
+  }
+  best.mgr.reset();
 
   // Section 4: redundancy removal (still in the permuted variable space —
   // the FPRM forms refer to permuted PI indices). Skipped when the ladder
@@ -371,12 +400,13 @@ Network synthesize(const Network& spec, const SynthOptions& opt,
         sorted_ids[r] = new_ids[by_id[r]];
         new_pos[by_id[r]] = r;
       }
+      BitVec remapped(form.support.size());
       for (auto& cube : form.cubes) {
-        BitVec remapped(cube.size());
+        remapped.clear_all();
         for (std::size_t i = cube.first_set(); i != BitVec::npos;
              i = cube.next_set(i + 1))
           remapped.set(new_pos[i]);
-        cube = remapped;
+        std::swap(cube, remapped);
       }
       form.support = std::move(sorted_ids);
       BitVec pol(form.polarity.size());
@@ -436,7 +466,7 @@ Network synthesize(const Network& spec, const SynthOptions& opt,
   rep.seconds = sw.seconds();
   rep.stats = network_stats(out);
   rep.governor_polls = gov != nullptr ? gov->steps() : 0;
-  if (report != nullptr) *report = rep;
+  if (report != nullptr) *report = std::move(rep);
   return out;
 }
 

@@ -18,10 +18,6 @@ void PatternSet::append(const BitVec& assignment) {
   ++num_patterns;
 }
 
-void PatternSet::reserve(std::size_t expected_patterns) {
-  for (auto& b : bits) b.reserve(expected_patterns);
-}
-
 namespace {
 
 /// Evaluates every gate's value words in range [w0, w1) in topological

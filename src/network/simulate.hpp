@@ -21,10 +21,6 @@ struct PatternSet {
 
   /// Appends one pattern given as a PI-indexed assignment.
   void append(const BitVec& assignment);
-
-  /// Pre-allocates storage for `expected_patterns` so a run of append()
-  /// calls never reallocates the per-PI rows; num_patterns is unchanged.
-  void reserve(std::size_t expected_patterns);
 };
 
 class ThreadPool;

@@ -5,10 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
+
+#include "benchgen/spec.hpp"
+#include "core/synth.hpp"
 #include "equiv/equiv.hpp"
 #include "network/stats.hpp"
 #include "network/transform.hpp"
 #include "util/rng.hpp"
+
+#ifndef RMSYN_SOURCE_DIR
+#define RMSYN_SOURCE_DIR "."
+#endif
 
 namespace rmsyn {
 namespace {
@@ -285,6 +296,181 @@ TEST(Redundancy, PatternFilterReportsPrunes) {
   (void)remove_xor_redundancy(net, {form}, no_filter, &without);
   EXPECT_GT(without.exact_checks, with_filter.exact_checks);
 }
+
+TEST(Redundancy, PatternTailNeverShowsTheZeroZeroPattern) {
+  // g = a + b and h = a + b' are never both 0, so the XOR reduces to NAND.
+  // The form below yields 3 patterns: (g,h) = (0,1), (0,1), (1,1). Past
+  // them the last simulation word reads g = h = 0, which step 1 must not
+  // count as a demonstrated (0,0) pattern.
+  Network net;
+  const NodeId a = net.add_pi("a");
+  const NodeId b = net.add_pi("b");
+  const NodeId g = net.add_or(a, b);
+  const NodeId h = net.add_or(a, net.add_not(b));
+  net.add_po(net.add_xor(g, h));
+  FprmForm form;
+  form.nvars = 2;
+  form.support = {0, 1};
+  form.polarity = BitVec(2);
+  form.polarity.set_all();
+  RedundancyOptions opt;
+  opt.observability_pass = false;
+  opt.and_fanin_pass = false;
+  RedundancyStats stats;
+  const Network out = remove_xor_redundancy(net, {form}, opt, &stats);
+  EXPECT_EQ(stats.reduced_to_nand, 1u);
+  EXPECT_TRUE(check_equivalence(net, out).equivalent);
+}
+
+// --- The reported cube lists and the pattern sets built from them ----------
+
+/// The pattern-set construction by whole-assignment append(), kept as the
+/// oracle for fprm_pattern_set's row writer: same patterns, same order,
+/// same cap.
+PatternSet append_oracle_pattern_set(std::size_t num_pis,
+                                     const std::vector<FprmForm>& forms,
+                                     bool include_sa1,
+                                     std::size_t max_patterns) {
+  PatternSet ps(num_pis, 0);
+  const auto add = [&](const BitVec& a) {
+    if (ps.num_patterns < max_patterns) ps.append(a);
+  };
+  add(BitVec(num_pis));
+  for (const auto& form : forms) {
+    const auto literal_assignment = [&](bool lit_value) {
+      BitVec a(num_pis);
+      for (const int v : form.support) {
+        const auto iv = static_cast<std::size_t>(v);
+        a.set(iv, form.polarity.get(iv) == lit_value);
+      }
+      return a;
+    };
+    add(literal_assignment(false));
+    add(literal_assignment(true));
+    for (const auto& cube : form.cubes) {
+      BitVec oc = literal_assignment(false);
+      for (std::size_t i = cube.first_set(); i != BitVec::npos;
+           i = cube.next_set(i + 1)) {
+        const auto v = static_cast<std::size_t>(form.support[i]);
+        oc.set(v, form.polarity.get(v));
+      }
+      add(oc);
+      if (include_sa1) {
+        for (std::size_t i = cube.first_set(); i != BitVec::npos;
+             i = cube.next_set(i + 1)) {
+          const auto v = static_cast<std::size_t>(form.support[i]);
+          BitVec sa1 = oc;
+          sa1.set(v, !form.polarity.get(v));
+          add(sa1);
+        }
+      }
+      if (ps.num_patterns >= max_patterns) return ps;
+    }
+  }
+  return ps;
+}
+
+/// rep.forms of the default flow, synthesized once per circuit and process.
+const std::vector<FprmForm>& reported_forms(const std::string& circuit) {
+  static std::map<std::string, std::vector<FprmForm>> cache;
+  auto it = cache.find(circuit);
+  if (it == cache.end()) {
+    SynthReport rep;
+    (void)synthesize(make_benchmark(circuit).spec, {}, &rep);
+    it = cache.emplace(circuit, std::move(rep.forms)).first;
+  }
+  return it->second;
+}
+
+/// FNV-1a over every form's support, polarity, cubes (in order) and
+/// `truncated` flag, as 16 hex digits.
+std::string forms_digest(const std::vector<FprmForm>& forms) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xFF;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto mix_bits = [&](const BitVec& v) {
+    mix(v.size());
+    for (std::size_t w = 0; w < v.words(); ++w) mix(v.word(w));
+  };
+  mix(forms.size());
+  for (const auto& form : forms) {
+    mix(static_cast<uint64_t>(form.nvars));
+    mix(form.support.size());
+    for (const int v : form.support) mix(static_cast<uint64_t>(v));
+    mix_bits(form.polarity);
+    mix(form.cubes.size());
+    for (const auto& cube : form.cubes) mix_bits(cube);
+    mix(form.truncated ? 1 : 0);
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+class ReportedForms : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ReportedForms, PatternSetsMatchAppendOracle) {
+  const std::string& circuit = GetParam();
+  const Network spec = make_benchmark(circuit).spec;
+  const std::vector<FprmForm>& forms = reported_forms(circuit);
+  ASSERT_EQ(forms.size(), spec.po_count());
+
+  // Besides the fixed caps, one that stops between two SA1 patterns of the
+  // first cube with two or more literals.
+  std::vector<std::size_t> caps = {1, 3, 1000, std::size_t{1} << 16};
+  std::size_t p = 1;
+  for (const auto& form : forms) {
+    p += 2;
+    for (const auto& cube : form.cubes) {
+      p += 1; // OC
+      if (cube.count() >= 2 && caps.size() == 4) caps.push_back(p + 1);
+      p += cube.count();
+    }
+  }
+  for (const bool sa1 : {false, true}) {
+    for (const std::size_t cap : caps) {
+      const PatternSet got =
+          fprm_pattern_set(spec.pi_count(), forms, sa1, cap);
+      const PatternSet want =
+          append_oracle_pattern_set(spec.pi_count(), forms, sa1, cap);
+      ASSERT_EQ(got.num_patterns, want.num_patterns)
+          << circuit << " sa1=" << sa1 << " cap=" << cap;
+      ASSERT_EQ(got.bits.size(), want.bits.size());
+      for (std::size_t i = 0; i < got.bits.size(); ++i)
+        ASSERT_EQ(got.bits[i], want.bits[i])
+            << circuit << " sa1=" << sa1 << " cap=" << cap << " pi " << i;
+    }
+  }
+}
+
+/// Pins every circuit's reported cube lists to data/baselines/forms_digest.txt.
+/// Each run prints its `forms-digest <circuit> <hex>` line; the regeneration
+/// command is in data/baselines/README.md.
+TEST_P(ReportedForms, DigestMatchesBaseline) {
+  const std::string& circuit = GetParam();
+  const std::string digest = forms_digest(reported_forms(circuit));
+  std::printf("forms-digest %s %s\n", circuit.c_str(), digest.c_str());
+
+  const std::string path =
+      std::string(RMSYN_SOURCE_DIR) + "/data/baselines/forms_digest.txt";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "cannot read " << path;
+  std::map<std::string, std::string> expected;
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream fields(line);
+    std::string name, hex;
+    if (fields >> name >> hex) expected[name] = hex;
+  }
+  ASSERT_EQ(expected.count(circuit), 1u) << circuit << " missing from " << path;
+  EXPECT_EQ(digest, expected[circuit]) << circuit;
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, ReportedForms,
+                         ::testing::ValuesIn(benchmark_names()));
 
 } // namespace
 } // namespace rmsyn

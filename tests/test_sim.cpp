@@ -243,22 +243,6 @@ TEST(SimState, StatsCarrySimdCountersAndDispatch) {
   EXPECT_FALSE(acc.empty());
 }
 
-TEST(PatternSet, ReserveDoesNotChangeAppendResults) {
-  Rng rng(123);
-  PatternSet plain(17, 0);
-  PatternSet reserved(17, 0);
-  reserved.reserve(300);
-  for (int i = 0; i < 300; ++i) {
-    BitVec a(17);
-    for (std::size_t v = 0; v < 17; ++v) a.set(v, (rng.next() & 1) != 0);
-    plain.append(a);
-    reserved.append(a);
-  }
-  EXPECT_EQ(plain.num_patterns, reserved.num_patterns);
-  for (std::size_t i = 0; i < plain.bits.size(); ++i)
-    EXPECT_EQ(plain.bits[i], reserved.bits[i]);
-}
-
 TEST(PatternSet, WordAlignedBlocksReassembleTheSet) {
   const PatternSet ps = random_patterns(5, 200, 777);
   const PatternSet b0 = pattern_block(ps, 0, 128);

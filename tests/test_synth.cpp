@@ -8,6 +8,7 @@
 #include "benchgen/spec.hpp"
 #include "equiv/equiv.hpp"
 #include "network/stats.hpp"
+#include "util/faultplan.hpp"
 #include "util/rng.hpp"
 
 namespace rmsyn {
@@ -168,6 +169,28 @@ TEST(Synth, RandomMultiOutputFunctions) {
     const auto check = check_against_tts(out, tts);
     EXPECT_TRUE(check.equivalent) << check.reason;
   }
+}
+
+TEST(Synth, FprmExtractFaultDegradesAndVerifies) {
+  // The winner's cube lists are enumerated after selection, for Section 4
+  // and the report only: a trip there truncates them and degrades the
+  // flow, but the network is complete and verified.
+  const Benchmark bench = make_benchmark("rd53");
+  FaultPlan p;
+  p.trip_at_stage = "fprm-extract";
+  ScopedFaultPlan plan(p);
+  ResourceGovernor gov;
+  SynthOptions opt;
+  opt.governor = &gov;
+  SynthReport rep;
+  const Network out = synthesize(bench.spec, opt, &rep);
+  EXPECT_TRUE(rep.status.is_degraded()) << rep.status.to_string();
+  EXPECT_EQ(rep.status.stage, "fprm-extract");
+  ASSERT_EQ(rep.forms.size(), bench.spec.po_count());
+  for (const auto& form : rep.forms) EXPECT_TRUE(form.truncated);
+  EXPECT_EQ(rep.fprm_cube_counts, (std::vector<std::size_t>{5, 10, 5}));
+  const auto check = check_equivalence(bench.spec, out);
+  EXPECT_TRUE(check.equivalent) << check.reason;
 }
 
 TEST(Synth, ReportsRuntime) {
