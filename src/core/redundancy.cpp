@@ -236,6 +236,9 @@ Network remove_xor_redundancy(const Network& net,
                               const RedundancyOptions& opt,
                               RedundancyStats* stats_out) {
   RedundancyStats stats;
+  // Set-up: the prepared network, its reference copy and the golden output
+  // BDDs. An explicit span, because what it builds outlives the span.
+  obs::Span setup_span("redundancy-setup");
   Network work = decompose2(strash(net));
   const Network reference = work; // for the final equivalence assertion
 
@@ -258,6 +261,7 @@ Network remove_xor_redundancy(const Network& net,
       return strash(work);
     }
   }
+  setup_span.close_at(obs::now_ns());
 
   // ---- Step 1: simulate the FPRM-derived pattern set, record which input
   // patterns occur at each XOR gate.
@@ -544,6 +548,7 @@ Network remove_xor_redundancy(const Network& net,
     stats.sim.accumulate(sim.take_stats());
   }
 
+  obs::Span verify_span("redundancy-verify");
   Network result = strash(work);
 
   // Final safety net: the whole procedure must be function-preserving.
@@ -554,6 +559,7 @@ Network remove_xor_redundancy(const Network& net,
   if (check.decided && !check.equivalent)
     throw std::logic_error("remove_xor_redundancy broke the network: " +
                            check.reason);
+  verify_span.close_at(obs::now_ns());
 
   // Post-transform XOR population for the stats.
   for (NodeId n = 0; n < result.node_count(); ++n)

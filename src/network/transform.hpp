@@ -42,8 +42,8 @@ Network permute_pis(const Network& net, const std::vector<std::size_t>& perm);
 /// Spectrum-friendly PI permutation (new position k holds old PI order[k]):
 /// inputs reaching few POs first, inputs feeding long chains (carry-ins,
 /// low-order operand bits) last. With this order the decision-diagram
-/// subgraphs of carry-like functions are shared across outputs; both the
-/// shared-OFDD and the KFDD constructions rely on it.
+/// subgraphs of carry-like functions are shared across outputs; the
+/// shared-OFDD construction relies on it.
 std::vector<std::size_t> spectrum_friendly_pi_order(const Network& spec);
 
 } // namespace rmsyn

@@ -1,7 +1,7 @@
 // Batch serving layer: runs many independent synthesis flows over one
 // work-stealing pool (level-1 parallelism, across circuits) and optionally
-// hands the same pool to the in-flow polarity/KFDD candidate search
-// (level-2 parallelism, within a circuit; see fdd/fprm.hpp).
+// hands the same pool to the in-flow polarity search (level-2 parallelism,
+// within a circuit; see fdd/fprm.hpp).
 //
 // Determinism contract (DESIGN.md §8): with an untripped budget, the rows
 // returned by run() are bit-identical for every jobs value — each flow owns
@@ -40,7 +40,7 @@ struct BatchOptions {
   int jobs = 1;
   /// false: the first failed row cancels every not-yet-finished row.
   bool keep_going = true;
-  /// Hand the pool to the in-flow polarity/KFDD search (level 2).
+  /// Hand the pool to the in-flow polarity search (level 2).
   bool inner_parallel = true;
   /// Wall-clock budget for the WHOLE batch (0 = off); broadcast through
   /// the shared budget, unlike flow.limits.deadline_seconds which is

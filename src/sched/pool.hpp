@@ -24,7 +24,7 @@
 // scheduling — every parallel site in rmsyn reduces worker results in a
 // canonical order ((cost, polarity-vector) lexicographic, row index, ...)
 // so `--jobs N` output is bit-identical to serial. See sched/batch.hpp and
-// the fan-outs in fdd/fprm.cpp, fdd/kfdd.cpp.
+// the polarity-search fan-outs in fdd/fprm.cpp.
 #pragma once
 
 #include <atomic>

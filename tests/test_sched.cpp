@@ -10,9 +10,7 @@
 #include "benchgen/spec.hpp"
 #include "equiv/equiv.hpp"
 #include "fdd/fprm.hpp"
-#include "fdd/kfdd.hpp"
 #include "flow/flow.hpp"
-#include "network/stats.hpp"
 #include "network/transform.hpp"
 #include "sched/batch.hpp"
 #include "sched/pool.hpp"
@@ -267,26 +265,6 @@ TEST(PolaritySearch, ParallelExhaustiveMatchesSerial) {
   par_opt.pool = &pool;
   EXPECT_TRUE(best_polarity_multi(mgr, outs, par_opt) == serial_multi);
   EXPECT_TRUE(best_polarity(mgr, outs[0], par_opt) == serial_single);
-}
-
-TEST(KfddSearch, ParallelDecompositionMatchesSerial) {
-  for (const char* name : {"f2", "rd53"}) {
-    SCOPED_TRACE(name);
-    const Benchmark bench = make_benchmark(name);
-    KfddSearchOptions serial_opt;
-    std::vector<Expansion> serial_exp;
-    const Network serial_net =
-        kfdd_synthesize(bench.spec, serial_opt, &serial_exp);
-
-    ThreadPool pool(3);
-    KfddSearchOptions par_opt;
-    par_opt.pool = &pool;
-    std::vector<Expansion> par_exp;
-    const Network par_net = kfdd_synthesize(bench.spec, par_opt, &par_exp);
-
-    EXPECT_EQ(serial_exp, par_exp);
-    EXPECT_EQ(network_stats(serial_net).lits, network_stats(par_net).lits);
-  }
 }
 
 TEST(Governor, ConcurrentPollsTripExactlyOnceAndStay) {
