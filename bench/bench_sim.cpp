@@ -3,7 +3,8 @@
 // probes + fault dropping, sim/sim.hpp) on the largest benchgen circuits
 // and gates a minimum speedup on the largest one. Detection results are
 // verified bit-identical on every circuit — a fast wrong answer fails the
-// run outright.
+// run outright — and, untimed, on the adder64 and mult16 specs, the two
+// arith-scale circuits the full reference can still settle.
 //
 // Every gated timing warms up once untimed, then reports the median of
 // three runs — median (not min) so one lucky run cannot mask CI jitter,
@@ -49,6 +50,9 @@ int main(int argc, char** argv) {
       bench::parse_args_or_exit(argc, argv, "BENCH_sim.json", false);
   constexpr double kMinSpeedup = 5.0;
   constexpr std::size_t kPatterns = 1 << 14;
+  /// Patterns of the untimed identity checks: three fault-dropping blocks,
+  /// the last one partial, at a size the full reference settles in seconds.
+  constexpr std::size_t kCheckPatterns = 520;
 
   bench::Gates gates;
 
@@ -109,6 +113,17 @@ int main(int argc, char** argv) {
                                   {"cone_nodes", stats.cone_nodes},
                                   {"faults_dropped", stats.faults_dropped},
                                   {"blocks_skipped", stats.blocks_skipped}}));
+  }
+  for (const std::string name : {"adder64", "mult16"}) {
+    const Network net = decompose2(strash(make_benchmark(name).spec));
+    const PatternSet patterns =
+        random_patterns(net.pi_count(), kCheckPatterns, 0xB7A5 + net.pi_count());
+    const FaultSimResult ref = fault_simulate_full(net, patterns);
+    const bool same = same_result(ref, fault_simulate(net, patterns));
+    identical = identical && same;
+    std::printf("%-10s %5zu faults (%zu detected)  identity only: %s\n",
+                name.c_str(), ref.total, ref.detected,
+                same ? "match" : "MISMATCH");
   }
   gates.check(identical, "incremental fault sim matches the full reference "
                          "on every circuit");

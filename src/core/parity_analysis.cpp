@@ -109,27 +109,25 @@ ParityVerdict parity_controllability(const FprmForm& form,
     try_union(all);
   }
 
-  // Subsets of cubes up to the size cap, smallest first (the singletons are
-  // the OC patterns). Early exit once all four patterns are achieved.
-  std::vector<uint32_t> stack;
-  const std::function<void(uint32_t, const BitVec&)> rec =
-      [&](uint32_t first, const BitVec& u) {
-        if (verdict.achieved == 0b1111 || budget == 0) return;
-        for (uint32_t c = first; c < m; ++c) {
-          if (budget == 0) return;
-          --budget;
+  // Subsets of cubes by size, smallest first (the singletons are the OC
+  // patterns), up to the size cap: every pair is tried before any triple.
+  // Stops once all four patterns are achieved or the budget is spent.
+  const std::function<void(uint32_t, std::size_t, const BitVec&)> rec =
+      [&](uint32_t first, std::size_t size, const BitVec& u) {
+        for (uint32_t c = first;
+             c + size <= m && budget > 0 && verdict.achieved != 0b1111; ++c) {
           BitVec u2 = u;
           u2 |= form.cubes[c];
-          try_union(u2);
-          if (stack.size() + 1 < opt.max_subset) {
-            stack.push_back(c);
-            rec(c + 1, u2);
-            stack.pop_back();
+          if (size > 1) {
+            rec(c + 1, size - 1, u2);
+            continue;
           }
-          if (verdict.achieved == 0b1111) return;
+          --budget;
+          try_union(u2);
         }
       };
-  rec(0, empty_u);
+  for (std::size_t size = 1; size <= opt.max_subset; ++size)
+    rec(0, size, empty_u);
   return verdict;
 }
 

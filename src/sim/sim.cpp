@@ -35,7 +35,7 @@ SimState::SimState(const Network& net, PatternSet patterns, ThreadPool* pool)
   values_.assign(count, zeros_);
   active_.assign(count, 0);
   is_po_.assign(count, 0);
-  queued_.assign(count, 0);
+  queue_.resize(count);
 
   values_[Network::kConst1] = ones_;
   active_[Network::kConst0] = active_[Network::kConst1] = 1;
@@ -119,7 +119,7 @@ void SimState::grow() {
   values_.resize(count, zeros_);
   active_.resize(count, 0);
   is_po_.resize(count, 0);
-  queued_.resize(count, 0);
+  queue_.resize(count);
 }
 
 void SimState::sync_node(NodeId n) {
@@ -163,37 +163,25 @@ void SimState::ensure_active(NodeId n) {
 }
 
 void SimState::push_event(NodeId n) {
-  if (!active_[n] || queued_[n] || is_source(net_.type(n))) return;
-  queued_[n] = 1;
-  const uint32_t lv = net_.level(n);
-  if (buckets_.size() <= lv) buckets_.resize(lv + 1);
-  buckets_[lv].push_back(n);
-  ++pending_;
+  if (!active_[n] || is_source(net_.type(n))) return;
+  queue_.push(n, net_.level(n));
 }
 
 void SimState::propagate() {
-  for (std::size_t lv = 0; lv < buckets_.size() && pending_ > 0; ++lv) {
-    // push_event may resize buckets_, so index (never reference) the row;
-    // new events always land at strictly higher levels.
-    for (std::size_t i = 0; i < buckets_[lv].size(); ++i) {
-      const NodeId n = buckets_[lv][i];
-      queued_[n] = 0;
-      --pending_;
-      ++stats_.events;
-      eval_node(n, scratch_);
-      // Any-differing-word test (vectorized, early exit): unchanged
-      // values kill the event.
-      if (!scratch_.differs(values_[n])) {
-        ++stats_.events_died;
-        continue;
-      }
-      std::swap(values_[n], scratch_);
-      // Maintained fanout lists; push_event filters inactive readers
-      // (nodes outside the PO cone that were never evaluated).
-      for (const NodeId fo : net_.fanouts(n)) push_event(fo);
+  queue_.drain([&](NodeId n) {
+    ++stats_.events;
+    eval_node(n, scratch_);
+    // Any-differing-word test (vectorized, early exit): unchanged values
+    // kill the event.
+    if (!scratch_.differs(values_[n])) {
+      ++stats_.events_died;
+      return;
     }
-    buckets_[lv].clear();
-  }
+    std::swap(values_[n], scratch_);
+    // Maintained fanout lists; push_event filters inactive readers (nodes
+    // outside the PO cone that were never evaluated).
+    for (const NodeId fo : net_.fanouts(n)) push_event(fo);
+  });
 }
 
 void SimState::eval_node(NodeId n, BitVec& out) const {
@@ -222,38 +210,61 @@ void FaultProber::grow(const SimState& s) {
   if (faulty_.size() < count) {
     faulty_.resize(count);
     stamp_.resize(count, 0);
-    queued_.resize(count, 0);
+    queue_.resize(count);
   }
 }
 
 void FaultProber::push(const SimState& s, NodeId n) {
   // Inactive readers (outside the state's evaluated cone) cannot reach a
-  // PO through evaluated logic; skipping them mirrors the mirror-based
-  // pre-SoA engine, which never linked them in.
-  if (queued_[n] || !s.active_[n]) return;
-  queued_[n] = 1;
-  const uint32_t lv = s.net().level(n);
-  if (buckets_.size() <= lv) buckets_.resize(lv + 1);
-  buckets_[lv].push_back(n);
-  ++pending_;
+  // PO through evaluated logic.
+  if (s.active_[n]) queue_.push(n, s.net().level(n));
 }
 
-bool FaultProber::detects(const SimState& s, NodeId node, int pin,
-                          bool stuck_value) {
-  ++stats_.fault_probes;
+std::size_t FaultProber::observe(const SimState& s, NodeId stem,
+                                 const uint64_t* masks, std::size_t count,
+                                 uint8_t* hit) {
   grow(s);
   ++epoch_;
   const Network& net = s.net();
-  const BitVec& forced = stuck_value ? s.ones_ : s.zeros_;
   const std::size_t np = s.num_patterns();
-  const std::size_t nw = forced.words();
-  const std::size_t bpe = blocks_per_eval((np + 63) / 64);
+  const std::size_t nw = (np + 63) / 64;
+  const std::size_t bpe = blocks_per_eval(nw);
+  std::size_t left = count;
 
-  // Evaluates node m with faulty overlay values (and, for the seed, the
-  // forced pin) through the word kernels into scratch_.
+  // Hits every mask that meets `fresh` (patterns newly observed). A mask
+  // not hit yet misses everything observed before, so checking only the
+  // fresh patterns decides it.
+  const auto mark = [&](const uint64_t* fresh) {
+    for (std::size_t i = 0; i < count && left > 0; ++i) {
+      if (hit[i]) continue;
+      const uint64_t* m = masks + i * nw;
+      for (std::size_t w = 0; w < nw; ++w) {
+        if ((m[w] & fresh[w]) == 0) continue;
+        hit[i] = 1;
+        --left;
+        break;
+      }
+    }
+  };
+
+  ++stats_.cone_nodes;
+  if (s.is_po_[stem]) {
+    mark(s.ones_.data());
+    return count - left;
+  }
+  if (observed_.size() != np) observed_ = BitVec(np);
+  observed_.clear_all();
+  scratch_ = s.values_[stem];
+  scratch_.flip_all();
+  std::swap(faulty_[stem], scratch_);
+  stamp_[stem] = epoch_;
+  for (const NodeId fo : net.fanouts(stem)) push(s, fo);
+
+  // Evaluates node m with faulty overlay values through the word kernels
+  // into scratch_.
   const uint64_t* ins_inline[kEvalInlineFanins];
   std::vector<const uint64_t*> ins_heap;
-  const auto eval_overlay = [&](NodeId m, int forced_pin) {
+  const auto eval_overlay = [&](NodeId m) {
     if (scratch_.size() != np) scratch_ = BitVec(np);
     const FaninSpan fi = net.fanins(m);
     const uint64_t** ins = ins_inline;
@@ -262,59 +273,44 @@ bool FaultProber::detects(const SimState& s, NodeId node, int pin,
       ins = ins_heap.data();
     }
     for (std::size_t k = 0; k < fi.size(); ++k) {
-      if (static_cast<int>(k) == forced_pin) {
-        ins[k] = forced.data();
-      } else {
-        const NodeId f = fi[k];
-        ins[k] = (stamp_[f] == epoch_ ? faulty_[f] : s.values_[f]).data();
-      }
+      const NodeId f = fi[k];
+      ins[k] = (stamp_[f] == epoch_ ? faulty_[f] : s.values_[f]).data();
     }
     eval_gate_words(net.type(m), ins, fi.size(), scratch_.data(), nw);
     scratch_.mask_tail();
     stats_.simd_blocks += bpe;
   };
 
-  // Seed: the faulty value at the fault site itself.
-  if (pin < 0) {
-    scratch_ = forced;
-  } else {
-    eval_overlay(node, pin);
-  }
-  ++stats_.cone_nodes;
-  // Vectorized overlay compare: early-exit any-differing-word.
-  if (!scratch_.differs(s.values_[node])) {
-    ++stats_.events_died;
-    return false;
-  }
-  std::swap(faulty_[node], scratch_);
-  stamp_[node] = epoch_;
-  bool detected = s.is_po_[node] != 0;
-  if (!detected)
-    for (const NodeId fo : net.fanouts(node)) push(s, fo);
-
-  for (std::size_t lv = 0; lv < buckets_.size() && pending_ > 0; ++lv) {
-    for (std::size_t i = 0; i < buckets_[lv].size(); ++i) {
-      const NodeId m = buckets_[lv][i];
-      queued_[m] = 0;
-      --pending_;
-      if (detected) continue; // drain remaining queue flags only
-      eval_overlay(m, -1);
-      ++stats_.cone_nodes;
-      if (!scratch_.differs(s.values_[m])) {
-        ++stats_.events_died;
-        continue;
-      }
-      std::swap(faulty_[m], scratch_);
-      stamp_[m] = epoch_;
-      if (s.is_po_[m]) {
-        detected = true;
-        continue;
-      }
-      for (const NodeId fo : net.fanouts(m)) push(s, fo);
+  queue_.drain([&](NodeId m) {
+    if (left == 0) return; // drain the remaining queue flags only
+    eval_overlay(m);
+    ++stats_.cone_nodes;
+    // Vectorized overlay compare: early-exit any-differing-word.
+    if (!scratch_.differs(s.values_[m])) {
+      ++stats_.events_died;
+      return;
     }
-    buckets_[lv].clear();
-  }
-  return detected;
+    std::swap(faulty_[m], scratch_);
+    stamp_[m] = epoch_;
+    if (s.is_po_[m]) {
+      // scratch_ is free again: it receives the freshly observed patterns.
+      if (scratch_.size() != np) scratch_ = BitVec(np);
+      const uint64_t* f = faulty_[m].data();
+      const uint64_t* g = s.values_[m].data();
+      uint64_t* seen = observed_.data();
+      uint64_t* fresh = scratch_.data();
+      uint64_t any = 0;
+      for (std::size_t w = 0; w < nw; ++w) {
+        fresh[w] = (f[w] ^ g[w]) & ~seen[w];
+        seen[w] |= fresh[w];
+        any |= fresh[w];
+      }
+      if (any != 0) mark(fresh);
+      if (left == 0) return;
+    }
+    for (const NodeId fo : net.fanouts(m)) push(s, fo);
+  });
+  return count - left;
 }
 
 } // namespace rmsyn

@@ -19,21 +19,25 @@
 //    event, so propagation dies out early (redundancy removal's try/revert
 //    loop typically touches a handful of nodes per candidate).
 //
-//  * FaultProber — answers "does this stuck-at fault change any PO under
-//    this SimState's patterns?" without ever mutating the state: faulty
-//    values live in an epoch-stamped overlay, the fault seeds a single
-//    event, and propagation stops at the first differing PO. One prober
-//    serves any number of SimStates over the SAME network (fault
-//    simulation keeps one state per pattern block so detected faults drop
-//    out of the remaining blocks); per-worker probers make parallel fault
-//    chunks bit-identical to serial.
+//  * FaultProber — the stem prober behind fault simulation's fanout-free
+//    region (FFR) tracing. observe() flips one stem on every pattern of a
+//    const SimState and propagates the difference through its fanout cone;
+//    the patterns on which some PO changes are the stem's observability.
+//    A stuck-at fault inside the stem's FFR is detected exactly on the
+//    patterns where its local mask (computed by the caller from good
+//    values, testability/faults.cpp) meets that observability, so one
+//    propagation per region decides all of the region's faults. Faulty
+//    values live in an epoch-stamped overlay and the good state is never
+//    touched, so one prober serves any number of SimStates over the SAME
+//    network (fault simulation keeps one state per pattern block) and
+//    per-worker probers make parallel root chunks bit-identical to serial.
 //
 // Determinism: values depend only on (network, patterns); event/statistic
-// counts depend only on the dirty sets, the faults probed, and the
-// network's (deterministic) fanout-list order — never on thread schedule.
-// cone_nodes in particular counts evaluations up to the early exit at the
-// first differing PO, so it shifts when fanout traversal order changes
-// (it did once, when the SoA core replaced the state's private mirrors).
+// counts depend only on the dirty sets, the stems probed with their masks,
+// and the network's (deterministic) fanout-list order — never on thread
+// schedule. cone_nodes in particular counts evaluations up to the early
+// exit once every mask is hit, so it shifts when fanout traversal order
+// changes.
 #pragma once
 
 #include <cstddef>
@@ -57,8 +61,8 @@ struct SimStats {
   uint64_t incr_resims = 0;    ///< resimulate() calls after edits
   uint64_t events = 0;         ///< node evaluations triggered by events
   uint64_t events_died = 0;    ///< evaluations whose value did not change
-  uint64_t fault_probes = 0;   ///< FaultProber::detects() calls
-  uint64_t cone_nodes = 0;     ///< faulty-cone nodes evaluated across probes
+  uint64_t fault_probes = 0;   ///< faults decided, counted once per block
+  uint64_t cone_nodes = 0;     ///< stem-cone nodes evaluated by observe()
   uint64_t faults_dropped = 0; ///< faults detected before the last block
   uint64_t blocks_skipped = 0; ///< pattern blocks skipped via dropping
   uint64_t value_reuses = 0;   ///< cached good values served to clients
@@ -97,6 +101,50 @@ struct SimStats {
     v("full_pass_seconds", &SimStats::full_pass_seconds, StatKind::Internal);
     v("patterns_per_second", &SimStats::patterns_per_second, StatKind::Rate);
   }
+};
+
+/// Level-bucketed event queue shared by SimState and FaultProber: events
+/// always fire at strictly higher levels than the node that spawned them,
+/// so one ascending sweep from the lowest queued level settles a wave.
+class LevelQueue {
+public:
+  void resize(std::size_t count) { queued_.resize(count, 0); }
+
+  /// Queues n at level lv unless it is already queued.
+  void push(NodeId n, uint32_t lv) {
+    if (queued_[n]) return;
+    queued_[n] = 1;
+    if (buckets_.size() <= lv) buckets_.resize(lv + 1);
+    buckets_[lv].push_back(n);
+    if (lv < lowest_) lowest_ = lv;
+    ++pending_;
+  }
+
+  /// Fires every queued node in ascending level order, including the
+  /// events `fire` itself pushes; the queue is empty afterwards.
+  template <class Fire>
+  void drain(Fire&& fire) {
+    for (std::size_t lv = lowest_; lv < buckets_.size() && pending_ > 0;
+         ++lv) {
+      // push may resize buckets_, so index (never reference) the row; new
+      // events always land at strictly higher levels.
+      for (std::size_t i = 0; i < buckets_[lv].size(); ++i) {
+        const NodeId n = buckets_[lv][i];
+        queued_[n] = 0;
+        --pending_;
+        fire(n);
+      }
+      buckets_[lv].clear();
+    }
+    lowest_ = kNone;
+  }
+
+private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::vector<NodeId>> buckets_;
+  std::vector<uint8_t> queued_;
+  std::size_t pending_ = 0;
+  std::size_t lowest_ = kNone;
 };
 
 /// Cached good-simulation of one network under one pattern set.
@@ -165,32 +213,39 @@ private:
   std::vector<uint8_t> active_; ///< evaluated at least once (≈ topo set)
   std::vector<uint8_t> is_po_;
 
-  // Level-bucketed event queue: events always fire at strictly higher
-  // levels than the node that spawned them, so one ascending sweep settles
-  // the whole wave.
-  std::vector<std::vector<NodeId>> buckets_;
-  std::vector<uint8_t> queued_;
-  std::size_t pending_ = 0;
+  LevelQueue queue_;
 
   BitVec scratch_; ///< reused evaluation buffer (alloc-free steady state)
   mutable SimStats stats_;
 };
 
-/// Stuck-at fault oracle over a const SimState (or several states sharing
-/// one network — fault simulation keeps one state per pattern block).
-/// Faulty values live in an epoch-stamped overlay, so consecutive probes
-/// reuse the buffers without clearing; the good state is never touched.
-/// Not thread-safe: use one prober per worker.
+/// Stem prober for fault simulation's fanout-free-region tracing, over a
+/// const SimState (or several states sharing one network — fault
+/// simulation keeps one state per pattern block). Faulty values live in an
+/// epoch-stamped overlay, so consecutive probes reuse the buffers without
+/// clearing; the good state is never touched. Not thread-safe: use one
+/// prober per worker.
 class FaultProber {
 public:
   /// Sizes the overlay for `proto`'s network; any SimState over the same
   /// network may be probed.
   explicit FaultProber(const SimState& proto);
 
-  /// True when the stuck-at fault (pin < 0 = stem, else that input pin
-  /// forced to `stuck_value`) changes some PO value under s's patterns.
-  /// Propagation is cone-limited and stops at the first differing PO.
-  bool detects(const SimState& s, NodeId node, int pin, bool stuck_value);
+  /// Good value of n under s. Unlike SimState::value() this leaves s's
+  /// counters alone, so probers on several threads may share one state.
+  const BitVec& good(const SimState& s, NodeId n) const {
+    return s.values_[n];
+  }
+
+  /// Flips `stem` on every pattern of s and propagates the difference
+  /// through its fanout cone; a pattern on which some PO changes makes the
+  /// stem observable. `masks` holds `count` pattern masks of s's word width
+  /// back to back; hit[i] is set when mask i meets an observable pattern.
+  /// A stem that drives a PO is observable everywhere. Propagation stops
+  /// once every mask is hit, so callers pass nonzero masks only. Returns
+  /// the number of masks hit.
+  std::size_t observe(const SimState& s, NodeId stem, const uint64_t* masks,
+                      std::size_t count, uint8_t* hit);
 
   const SimStats& stats() const { return stats_; }
 
@@ -201,11 +256,9 @@ private:
   std::vector<BitVec> faulty_;   ///< overlay value, valid iff stamp == epoch
   std::vector<uint64_t> stamp_;
   uint64_t epoch_ = 0;
+  LevelQueue queue_;
 
-  std::vector<std::vector<NodeId>> buckets_;
-  std::vector<uint8_t> queued_;
-  std::size_t pending_ = 0;
-
+  BitVec observed_; ///< patterns on which some PO has changed so far
   BitVec scratch_;
   SimStats stats_;
 };

@@ -41,18 +41,22 @@ struct FaultSimOptions {
   /// the whole set. Detection results are identical either way; dropping
   /// only skips work.
   bool drop_faults = true;
-  /// Run fault chunks on this pool (null = serial). Each worker probes a
-  /// disjoint fault range with its own FaultProber against shared const
-  /// block states, so results AND counters are bit-identical to serial.
+  /// Run chunks of fanout-free regions on this pool (null = serial). Each
+  /// worker traces a disjoint region range with its own FaultProber
+  /// against shared const block states; every fault belongs to one region
+  /// and counters are per-region sums, so results AND counters are
+  /// bit-identical to serial.
   ThreadPool* pool = nullptr;
   /// Engine counters accumulated here when non-null.
   SimStats* stats = nullptr;
 };
 
-/// Event-driven parallel-pattern fault simulation (sim/sim.hpp): one good
-/// pass per pattern block, then each fault is a single-node event whose
-/// cone is propagated until a PO differs — with fault dropping across
-/// blocks. Detected/undetected sets are identical to fault_simulate_full.
+/// Parallel-pattern fault simulation by fanout-free-region tracing
+/// (DESIGN.md §10): one good pass per pattern block; per block, each
+/// region with pending faults gets local fault masks from the good values
+/// and one stem propagation from its root (FaultProber::observe) — with
+/// fault dropping across blocks. Detected/undetected sets are identical
+/// to fault_simulate_full.
 FaultSimResult fault_simulate(const Network& net, const PatternSet& patterns,
                               const FaultSimOptions& opt = {});
 

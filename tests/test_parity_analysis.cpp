@@ -235,7 +235,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Section4Score{"rd73", 60, 30, 30, 60},
                       Section4Score{"majority", 14, 7, 7, 14},
                       Section4Score{"t481", 39, 28, 28, 39},
-                      Section4Score{"9sym", 209, 82, 69, 187},
+                      Section4Score{"9sym", 209, 82, 82, 209},
                       Section4Score{"f2", 2, 1, 1, 2},
                       Section4Score{"cm82a", 12, 6, 6, 12}),
     [](const ::testing::TestParamInfo<Section4Score>& info) {

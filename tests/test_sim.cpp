@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include "benchgen/spec.hpp"
+#include "core/redundancy.hpp"
 #include "core/resub.hpp"
 #include "core/synth.hpp"
 #include "network/io.hpp"
 #include "network/transform.hpp"
+#include "rewrite/rewrite.hpp"
 #include "sched/pool.hpp"
 #include "testability/faults.hpp"
+#include "util/governor.hpp"
 #include "util/rng.hpp"
 
 namespace rmsyn {
@@ -161,6 +164,72 @@ TEST(FaultSim, DroppingAndConeLimitingMatchFullResim) {
   }
 }
 
+// The raw specs keep their n-ary gates, some wider than the inline fanin
+// buffer; 300 patterns end the second block in a partial word.
+TEST(FaultSim, RegionTracingMatchesFullResimOnRawSpecs) {
+  for (const auto& name : benchmark_names()) {
+    const Network net = make_benchmark(name).spec;
+    const PatternSet patterns = random_patterns(net.pi_count(), 300, 0x5EC5);
+    SCOPED_TRACE(name);
+    expect_same_result(fault_simulate_full(net, patterns),
+                       fault_simulate(net, patterns));
+  }
+}
+
+// Every structural corner of region tracing in one network, under every
+// input vector: a pin read twice (AND(a,a), XOR(b,b)), a 3-input NOR, a PO
+// that also feeds gates, one node driving two POs, a NOT before a NAND,
+// and constant fanins.
+TEST(FaultSim, RegionTracingMatchesFullResimOnEdgeNetwork) {
+  Network net;
+  const NodeId a = net.add_pi("a"), b = net.add_pi("b"), c = net.add_pi("c"),
+               d = net.add_pi("d"), e = net.add_pi("e");
+  const NodeId aa = net.add_gate(GateType::And, {a, a});
+  const NodeId bb = net.add_gate(GateType::Xor, {b, b});
+  const NodeId nor3 = net.add_gate(GateType::Nor, {a, c, d});
+  const NodeId nand = net.add_gate(GateType::Nand, {net.add_not(c), d});
+  const NodeId po_mid = net.add_gate(GateType::Or, {aa, bb, nand});
+  const NodeId reads_po = net.add_gate(GateType::And, {po_mid, e});
+  const NodeId with_const =
+      net.add_gate(GateType::Or, {nor3, net.constant(false)});
+  const NodeId twice = net.add_gate(
+      GateType::Xnor, {reads_po, with_const, net.constant(true)});
+  net.add_po(po_mid, "mid");
+  net.add_po(twice, "x");
+  net.add_po(twice, "y");
+  net.add_po(net.add_gate(GateType::And, {bb, e}), "z");
+
+  PatternSet patterns(net.pi_count(), 32);
+  for (std::size_t p = 0; p < 32; ++p)
+    for (std::size_t i = 0; i < net.pi_count(); ++i)
+      patterns.bits[i].set(p, (p >> i) & 1);
+  const FaultSimResult full = fault_simulate_full(net, patterns);
+  expect_same_result(full, fault_simulate(net, patterns));
+  EXPECT_FALSE(full.undetected.empty()); // XOR(b,b) is redundant
+  EXPECT_LT(full.undetected.size(), full.total / 2);
+}
+
+// adder64 and mult16 as the arith-scale benchmark ships them: rewritten,
+// then through the governed XOR-redundancy pass.
+TEST(FaultSim, RegionTracingMatchesFullResimOnRewrittenArithmetic) {
+  for (const auto& name : {"adder64", "mult16"}) {
+    Network net = make_benchmark(name).spec;
+    rw::rewrite_network(net);
+    ResourceLimits lim;
+    lim.step_limit = 1'000'000;
+    ResourceGovernor gov(lim);
+    RedundancyOptions ro;
+    ro.governor = &gov;
+    ro.max_patterns = 1024;
+    const Network out = remove_xor_redundancy(net, {}, ro, nullptr);
+    // 520 patterns = 3 blocks of 256/256/8.
+    const PatternSet patterns = random_patterns(out.pi_count(), 520, 0xA417);
+    SCOPED_TRACE(name);
+    expect_same_result(fault_simulate_full(out, patterns),
+                       fault_simulate(out, patterns));
+  }
+}
+
 TEST(FaultSim, ParallelChunksMatchSerialBitIdentically) {
   const Network net = decompose2(strash(make_benchmark("my_adder").spec));
   const PatternSet patterns = random_patterns(net.pi_count(), 1024, 0x9A9A);
@@ -177,7 +246,7 @@ TEST(FaultSim, ParallelChunksMatchSerialBitIdentically) {
   const FaultSimResult b = fault_simulate(net, patterns, parallel);
 
   expect_same_result(a, b);
-  // Counters are per-fault sums, so chunking must not change them either.
+  // Counters are per-region sums, so chunking must not change them either.
   EXPECT_EQ(serial_stats.fault_probes, par_stats.fault_probes);
   EXPECT_EQ(serial_stats.cone_nodes, par_stats.cone_nodes);
   EXPECT_EQ(serial_stats.faults_dropped, par_stats.faults_dropped);
