@@ -18,8 +18,8 @@
 // cap, seeded by the singletons (the OC set), ∅ (AZ) and the full set (AO)
 // — which is sound by construction (every reported pattern comes with a
 // concrete witness assignment) and empirically complete on the benchmark
-// circuits (see bench_parity_analysis, which scores it against the exact
-// BDD decision).
+// circuits (see the Circuits/ParityScore tests in test_parity_analysis,
+// which score it against the exact BDD decision).
 #pragma once
 
 #include <vector>

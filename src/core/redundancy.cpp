@@ -197,36 +197,17 @@ private:
   }
 
   BddRef compute(NodeId n) {
-    const auto& fi = net_.fanins(n);
-    switch (net_.type(n)) {
-      case GateType::Const0: return mgr_.bdd_false();
-      case GateType::Const1: return mgr_.bdd_true();
-      case GateType::Pi: return f_[n];
-      case GateType::Buf: return f_[fi[0]];
-      case GateType::Not: return mgr_.bdd_not(f_[fi[0]]);
-      case GateType::And: case GateType::Nand: {
-        BddRef acc = mgr_.bdd_true();
-        for (const NodeId g : fi) acc = mgr_.bdd_and(acc, f_[g]);
-        return net_.type(n) == GateType::Nand ? mgr_.bdd_not(acc) : acc;
-      }
-      case GateType::Or: case GateType::Nor: {
-        BddRef acc = mgr_.bdd_false();
-        for (const NodeId g : fi) acc = mgr_.bdd_or(acc, f_[g]);
-        return net_.type(n) == GateType::Nor ? mgr_.bdd_not(acc) : acc;
-      }
-      case GateType::Xor: case GateType::Xnor: {
-        BddRef acc = mgr_.bdd_false();
-        for (const NodeId g : fi) acc = mgr_.bdd_xor(acc, f_[g]);
-        return net_.type(n) == GateType::Xnor ? mgr_.bdd_not(acc) : acc;
-      }
-    }
-    return mgr_.bdd_false();
+    if (net_.type(n) == GateType::Pi) return f_[n];
+    ops_.clear();
+    for (const NodeId g : net_.fanins(n)) ops_.push_back(f_[g]);
+    return gate_bdd(mgr_, net_.type(n), ops_);
   }
 
   BddManager& mgr_;
   const Network& net_;
   std::vector<BddRef> f_;
   std::vector<bool> known_;
+  std::vector<BddRef> ops_; ///< compute()'s scratch operands
 };
 
 } // namespace

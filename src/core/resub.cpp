@@ -56,25 +56,35 @@ bool signatures_collide(const Network& hashed, const ResubOptions& opt) {
   return collision;
 }
 
-/// The exact sweep's rebuild with an empty merge set: live cone copied in
-/// topo order, then strashed. Byte-identical to what the BDD path emits
-/// when no rep lookup ever hits.
-Network rebuild_unmerged(const Network& hashed) {
+/// The exact sweep's rebuild: the live cone of `hashed` copied into a new
+/// network in topo order, then strashed. `merged(out, n)` returns the node
+/// of `out` that already computes n's function (or kNoNode to copy n);
+/// `added(n, m)` reports each PI and copied gate n and its copy m.
+template <class Merged, class Added>
+Network rebuild(const Network& hashed, Merged merged, Added added) {
   Network out;
   std::vector<NodeId> map(hashed.node_count(), Network::kConst0);
   map[Network::kConst1] = Network::kConst1;
-  for (std::size_t i = 0; i < hashed.pi_count(); ++i)
-    map[hashed.pis()[i]] = out.add_pi(hashed.name(hashed.pis()[i]));
+  for (std::size_t i = 0; i < hashed.pi_count(); ++i) {
+    const NodeId pi = hashed.pis()[i];
+    map[pi] = out.add_pi(hashed.name(pi));
+    added(pi, map[pi]);
+  }
   const auto live = hashed.live_mask();
   for (const NodeId n : hashed.topo_order()) {
     if (!live[n]) continue;
     const GateType t = hashed.type(n);
     if (t == GateType::Pi || t == GateType::Const0 || t == GateType::Const1)
       continue;
+    if (const NodeId m = merged(out, n); m != Network::kNoNode) {
+      map[n] = m;
+      continue;
+    }
     std::vector<NodeId> fi;
     fi.reserve(hashed.fanins(n).size());
     for (const NodeId g : hashed.fanins(n)) fi.push_back(map[g]);
     map[n] = out.add_gate(t, std::move(fi));
+    added(n, map[n]);
   }
   for (std::size_t i = 0; i < hashed.po_count(); ++i)
     out.add_po(map[hashed.po(i)], hashed.po_name(i));
@@ -91,7 +101,9 @@ Network resub_merge(const Network& net, const ResubOptions& opt) {
   if (opt.sim_prefilter && hashed.pi_count() > 0 &&
       (opt.governor == nullptr || !opt.governor->exhausted()) &&
       !signatures_collide(hashed, opt))
-    return rebuild_unmerged(hashed);
+    return rebuild(
+        hashed, [](Network&, NodeId) { return Network::kNoNode; },
+        [](NodeId, NodeId) {});
 
   try {
     BddManager mgr(static_cast<int>(hashed.pi_count()));
@@ -105,42 +117,19 @@ Network resub_merge(const Network& net, const ResubOptions& opt) {
 
     // Representative per function; complements map through an inverter.
     std::unordered_map<BddRef, NodeId> rep;
-    Network out;
-    std::vector<NodeId> map(hashed.node_count(), Network::kConst0);
-    map[Network::kConst1] = Network::kConst1;
     rep[mgr.bdd_false()] = Network::kConst0;
     rep[mgr.bdd_true()] = Network::kConst1;
-    for (std::size_t i = 0; i < hashed.pi_count(); ++i) {
-      const NodeId pi = out.add_pi(hashed.name(hashed.pis()[i]));
-      map[hashed.pis()[i]] = pi;
-      rep.emplace(f[hashed.pis()[i]], pi);
-    }
-    const auto live = hashed.live_mask();
-    for (const NodeId n : hashed.topo_order()) {
-      if (!live[n]) continue;
-      const GateType t = hashed.type(n);
-      if (t == GateType::Pi || t == GateType::Const0 || t == GateType::Const1)
-        continue;
-      if (const auto it = rep.find(f[n]); it != rep.end()) {
-        map[n] = it->second;
-        continue;
-      }
+    const auto merged = [&](Network& out, NodeId n) {
+      if (const auto it = rep.find(f[n]); it != rep.end()) return it->second;
       if (const auto it = rep.find(mgr.bdd_not(f[n])); it != rep.end()) {
         const NodeId inv = out.add_not(it->second);
-        map[n] = inv;
         rep.emplace(f[n], inv);
-        continue;
+        return inv;
       }
-      std::vector<NodeId> fi;
-      fi.reserve(hashed.fanins(n).size());
-      for (const NodeId g : hashed.fanins(n)) fi.push_back(map[g]);
-      const NodeId nn = out.add_gate(t, std::move(fi));
-      map[n] = nn;
-      rep.emplace(f[n], nn);
-    }
-    for (std::size_t i = 0; i < hashed.po_count(); ++i)
-      out.add_po(map[hashed.po(i)], hashed.po_name(i));
-    return strash(out);
+      return Network::kNoNode;
+    };
+    return rebuild(hashed, merged,
+                   [&](NodeId n, NodeId m) { rep.emplace(f[n], m); });
   } catch (const RmsynError&) {
     throw; // injected faults / invariant violations must not be swallowed
   } catch (const std::runtime_error&) {

@@ -13,31 +13,15 @@ namespace rmsyn {
 namespace {
 
 /// BDD of node n from the BDDs of its fanins (PIs and constants: f[n]).
-BddRef gate_bdd(BddManager& mgr, const Network& net, NodeId n,
-                const std::vector<BddRef>& f) {
-  const auto& fi = net.fanins(n);
-  switch (net.type(n)) {
-    case GateType::Const0: case GateType::Const1: case GateType::Pi:
-      return f[n];
-    case GateType::Buf: return f[fi[0]];
-    case GateType::Not: return mgr.bdd_not(f[fi[0]]);
-    case GateType::And: case GateType::Nand: {
-      BddRef acc = mgr.bdd_true();
-      for (const NodeId g : fi) acc = mgr.bdd_and(acc, f[g]);
-      return net.type(n) == GateType::Nand ? mgr.bdd_not(acc) : acc;
-    }
-    case GateType::Or: case GateType::Nor: {
-      BddRef acc = mgr.bdd_false();
-      for (const NodeId g : fi) acc = mgr.bdd_or(acc, f[g]);
-      return net.type(n) == GateType::Nor ? mgr.bdd_not(acc) : acc;
-    }
-    case GateType::Xor: case GateType::Xnor: {
-      BddRef acc = mgr.bdd_false();
-      for (const NodeId g : fi) acc = mgr.bdd_xor(acc, f[g]);
-      return net.type(n) == GateType::Xnor ? mgr.bdd_not(acc) : acc;
-    }
-  }
-  return f[n];
+/// `ops` is the caller's scratch operand vector.
+BddRef node_bdd(BddManager& mgr, const Network& net, NodeId n,
+                const std::vector<BddRef>& f, std::vector<BddRef>& ops) {
+  const GateType t = net.type(n);
+  if (t == GateType::Pi || t == GateType::Const0 || t == GateType::Const1)
+    return f[n];
+  ops.clear();
+  for (const NodeId g : net.fanins(n)) ops.push_back(f[g]);
+  return gate_bdd(mgr, t, ops);
 }
 
 /// The PI and constant entries of a node_bdds vector.
@@ -57,6 +41,7 @@ std::vector<BddRef> leaf_bdds(BddManager& mgr, const Network& net) {
 void build_cone(BddManager& mgr, const Network& net, NodeId root,
                 std::vector<BddRef>& f, std::vector<bool>& built) {
   std::vector<std::pair<NodeId, std::size_t>> stack;
+  std::vector<BddRef> ops;
   if (!built[root]) stack.emplace_back(root, 0);
   while (!stack.empty()) {
     const auto [n, k] = stack.back();
@@ -65,7 +50,7 @@ void build_cone(BddManager& mgr, const Network& net, NodeId root,
       const NodeId g = net.fanin(n, k);
       if (!built[g]) stack.emplace_back(g, 0);
     } else {
-      f[n] = mgr.ref(gate_bdd(mgr, net, n, f));
+      f[n] = mgr.ref(node_bdd(mgr, net, n, f, ops));
       built[n] = true;
       stack.pop_back();
     }
@@ -83,10 +68,35 @@ EquivResult undecided(EquivResult partial) {
 
 } // namespace
 
+BddRef gate_bdd(BddManager& mgr, GateType t,
+                const std::vector<BddRef>& operands) {
+  BddRef acc = mgr.bdd_false();
+  switch (t) {
+    case GateType::Pi: case GateType::Const0: return acc;
+    case GateType::Const1: return mgr.bdd_true();
+    case GateType::Buf: return operands[0];
+    case GateType::Not: return mgr.bdd_not(operands[0]);
+    case GateType::And: case GateType::Nand:
+      acc = mgr.bdd_true();
+      for (const BddRef g : operands) acc = mgr.bdd_and(acc, g);
+      break;
+    case GateType::Or: case GateType::Nor:
+      for (const BddRef g : operands) acc = mgr.bdd_or(acc, g);
+      break;
+    case GateType::Xor: case GateType::Xnor:
+      for (const BddRef g : operands) acc = mgr.bdd_xor(acc, g);
+      break;
+  }
+  const bool inverted =
+      t == GateType::Nand || t == GateType::Nor || t == GateType::Xnor;
+  return inverted ? mgr.bdd_not(acc) : acc;
+}
+
 std::vector<BddRef> node_bdds(BddManager& mgr, const Network& net) {
   std::vector<BddRef> f = leaf_bdds(mgr, net);
+  std::vector<BddRef> ops;
   for (const NodeId n : net.topo_order()) {
-    f[n] = gate_bdd(mgr, net, n, f);
+    f[n] = node_bdd(mgr, net, n, f, ops);
     // Pin each node function: later gates (and any auto-reordering the
     // caller enabled) must not reclaim it from under the vector.
     mgr.ref(f[n]);

@@ -16,6 +16,12 @@
 
 namespace rmsyn {
 
+/// BDD of a gate of type `t` over its fanins' BDDs, in fanin order: the
+/// one gate-to-BDD fold. Const0/Const1 ignore `operands`; Pi is not a gate
+/// and yields kFalse.
+BddRef gate_bdd(BddManager& mgr, GateType t,
+                const std::vector<BddRef>& operands);
+
 /// Builds the BDD of every live node; returns one ref per node id (dead
 /// nodes map to kFalse). `mgr` must have at least net.pi_count() variables;
 /// PI i maps to manager variable i.

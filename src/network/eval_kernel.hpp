@@ -2,10 +2,11 @@
 //
 // Every simulator in rmsyn — the one-shot simulate() pass, SimState's
 // cached full pass and event-driven resim, the fault overlay, and the
-// batched cut truth tables — boils down to the same step: combine the
-// fanin pattern words of one gate into its output words. This helper is
-// that step, shared so every caller sees one code path and the sharded
-// simulators can evaluate an arbitrary word sub-range of a row.
+// cut layer's cone walk (one word holding a 16-bit table) — boils down
+// to the same step: combine the fanin pattern words of one gate into its
+// output words. This helper is that step, shared so every caller sees one
+// code path and the sharded simulators can evaluate an arbitrary word
+// sub-range of a row.
 //
 // Complemented gates (NAND/NOR/XNOR/NOT) may leave garbage in the unused
 // tail bits of a row's final word; callers that evaluate a range covering

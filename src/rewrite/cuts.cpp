@@ -6,12 +6,14 @@
 #include "network/eval_kernel.hpp"
 #include "rewrite/npn.hpp"
 #include "util/governor.hpp"
-#include "util/simd.hpp"
 
 namespace rmsyn {
 namespace rw {
 
 namespace {
+
+/// Nodes cut_tt may expand before it calls a cut stale.
+constexpr int kMaxCone = 128;
 
 /// Merges two sorted leaf sets; false when the union exceeds 4.
 bool merge_leaves(const Cut& a, const Cut& b, Cut* out) {
@@ -37,80 +39,23 @@ bool leaves_less(const Cut& a, const Cut& b) {
   return a.leaves < b.leaves;
 }
 
-/// Evaluates the cone between `root` and the cut leaves on 16-bit words
-/// (leaf i = kProj4[i]). Returns false when the cone escapes the leaves or
-/// exceeds `max_cone` visited nodes.
-bool eval_cone(const Network& net, NodeId root, const Cut& cut, uint16_t* out,
-               int max_cone) {
-  std::unordered_map<NodeId, uint16_t> val;
-  val.reserve(16);
-  for (int i = 0; i < cut.nleaves; ++i) {
-    if (net.is_dead(cut.leaves[i])) return false;
-    val.emplace(cut.leaves[i], kProj4[i]);
+/// `c`'s table re-expressed over the leaves of `m`, a superset of c's:
+/// minterm x of m reads c's table at the minterm whose bit i is x's bit
+/// for c's leaf i. Variables of m that c lacks stay don't-cares.
+uint16_t stretch(const Cut& c, const Cut& m) {
+  if (c.same_leaves(m)) return c.tt;
+  std::array<int, 4> pos{};
+  for (int i = 0, j = 0; i < c.nleaves; ++i, ++j) {
+    while (m.leaves[j] != c.leaves[i]) ++j;
+    pos[i] = j;
   }
-  int visited = 0;
-  // Explicit post-order DFS so deep cones cannot overflow the call stack.
-  std::vector<NodeId> stack{root};
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    if (val.count(n)) {
-      stack.pop_back();
-      continue;
-    }
-    if (net.is_dead(n)) return false;
-    const GateType t = net.type(n);
-    if (t == GateType::Const0 || t == GateType::Const1) {
-      val.emplace(n, t == GateType::Const0 ? 0x0000 : 0xFFFF);
-      stack.pop_back();
-      continue;
-    }
-    if (t == GateType::Pi) return false; // escaped past the leaves
-    bool ready = true;
-    for (const NodeId f : net.fanins(n)) {
-      if (!val.count(f)) {
-        stack.push_back(f);
-        ready = false;
-      }
-    }
-    if (!ready) {
-      if (++visited > max_cone) return false;
-      continue;
-    }
-    stack.pop_back();
-    const FaninSpan fi = net.fanins(n);
-    uint16_t v = 0;
-    switch (t) {
-      case GateType::Buf:
-        v = val[fi[0]];
-        break;
-      case GateType::Not:
-        v = static_cast<uint16_t>(~val[fi[0]]);
-        break;
-      case GateType::And:
-      case GateType::Nand:
-        v = 0xFFFF;
-        for (const NodeId f : fi) v &= val[f];
-        if (t == GateType::Nand) v = static_cast<uint16_t>(~v);
-        break;
-      case GateType::Or:
-      case GateType::Nor:
-        v = 0x0000;
-        for (const NodeId f : fi) v |= val[f];
-        if (t == GateType::Nor) v = static_cast<uint16_t>(~v);
-        break;
-      case GateType::Xor:
-      case GateType::Xnor:
-        v = 0x0000;
-        for (const NodeId f : fi) v ^= val[f];
-        if (t == GateType::Xnor) v = static_cast<uint16_t>(~v);
-        break;
-      default:
-        return false;
-    }
-    val.emplace(n, v);
+  uint16_t r = 0;
+  for (int x = 0; x < 16; ++x) {
+    int y = 0;
+    for (int i = 0; i < c.nleaves; ++i) y |= ((x >> pos[i]) & 1) << i;
+    r |= static_cast<uint16_t>(((c.tt >> y) & 1) << x);
   }
-  *out = val[root];
-  return true;
+  return r;
 }
 
 /// Dedup by leaf set, drop dominated cuts, order by priority, truncate.
@@ -150,86 +95,18 @@ bool Cut::subset_of(const Cut& o) const {
   return true;
 }
 
-bool cut_tt(const Network& net, NodeId root, const Cut& cut, uint16_t* tt,
-            int max_cone) {
-  if (net.is_dead(root)) return false;
-  uint16_t full = 0;
-  if (!eval_cone(net, root, cut, &full, max_cone)) return false;
-  // eval_cone works over 4-variable words; reduce to the cut's arity.
-  uint16_t v = full;
-  if (cut.nleaves < 4)
-    v &= static_cast<uint16_t>((1u << (1 << cut.nleaves)) - 1);
-  *tt = v;
-  return true;
-}
-
-void cut_tts_batch(const Network& net, NodeId root,
-                   const std::vector<Cut>& cuts, std::vector<uint16_t>* tts,
-                   std::vector<uint8_t>* ok, int max_cone) {
-  const std::size_t ncuts = cuts.size();
-  tts->assign(ncuts, 0);
-  ok->assign(ncuts, 0);
-  if (ncuts == 0) return;
-
-  const auto scalar_fallback = [&] {
-    for (std::size_t c = 0; c < ncuts; ++c)
-      (*ok)[c] = cut_tt(net, root, cuts[c], &(*tts)[c], max_cone) ? 1 : 0;
-  };
-
-  // Lane layout: cut c occupies 16-bit lane c%4 of word c/4.
-  const std::size_t nwords = (ncuts + 3) / 4;
-  const auto lane_shift = [](std::size_t c) { return (c & 3) * 16; };
-
-  // Per-leaf lane masks and projections. A node that is a leaf in SOME
-  // lanes but interior in others contributes its projection to the leaf
-  // lanes and its computed function to the rest (the mux below).
-  struct LaneInfo {
-    std::vector<uint64_t> mask, proj;
-  };
-  std::unordered_map<NodeId, LaneInfo> leaves;
-  leaves.reserve(16);
-  for (std::size_t c = 0; c < ncuts; ++c) {
-    const Cut& cut = cuts[c];
-    for (int i = 0; i < cut.nleaves; ++i) {
-      const NodeId lf = cut.leaves[i];
-      if (net.is_dead(lf)) {
-        // A dead leaf fails only the cuts containing it; let the scalar
-        // path sort the lanes out.
-        scalar_fallback();
-        return;
-      }
-      LaneInfo& li = leaves[lf];
-      if (li.mask.empty()) {
-        li.mask.assign(nwords, 0);
-        li.proj.assign(nwords, 0);
-      }
-      li.mask[c / 4] |= uint64_t{0xFFFF} << lane_shift(c);
-      li.proj[c / 4] |= uint64_t{kProj4[i]} << lane_shift(c);
-    }
+bool cut_tt(const Network& net, NodeId root, const Cut& cut, uint16_t* tt) {
+  // The cone is evaluated on one word per node (leaf i = kProj4[i]); the
+  // low 16 bits are the table.
+  std::unordered_map<NodeId, uint64_t> val;
+  val.reserve(16);
+  for (int i = 0; i < cut.nleaves; ++i) {
+    if (net.is_dead(cut.leaves[i])) return false;
+    val.emplace(cut.leaves[i], kProj4[i]);
   }
-  // Padding lanes of the last word count as "leaf everywhere" so they
-  // never force an expansion on their own.
-  uint64_t pad = 0;
-  for (std::size_t c = ncuts; c < nwords * 4; ++c)
-    pad |= uint64_t{0xFFFF} << lane_shift(c);
-  const auto leaf_everywhere = [&](const LaneInfo& li) {
-    for (std::size_t w = 0; w + 1 < nwords; ++w)
-      if (li.mask[w] != ~uint64_t{0}) return false;
-    return (li.mask[nwords - 1] | pad) == ~uint64_t{0};
-  };
-
-  // One post-order DFS over the union cone. Exactness argument: per-cut
-  // interiors are subsets of the union interior, so bounding the union
-  // interior by max_cone bounds every per-cut walk too; a PI interior in
-  // any lane (not leaf-everywhere) would fail only some lanes, which the
-  // scalar fallback decides instead. Under those guards every lane's
-  // value is, by induction over the cone, exactly eval_cone's.
-  std::unordered_map<NodeId, std::vector<uint64_t>> val;
-  val.reserve(32);
-  std::vector<uint64_t> tmp(nwords);
-  const uint64_t* ins_small[kEvalInlineFanins];
-  std::vector<const uint64_t*> ins_big;
-  int expanded = 0;
+  int visited = 0;
+  std::vector<const uint64_t*> ins;
+  // Explicit post-order DFS so deep cones cannot overflow the call stack.
   std::vector<NodeId> stack{root};
   while (!stack.empty()) {
     const NodeId n = stack.back();
@@ -237,29 +114,9 @@ void cut_tts_batch(const Network& net, NodeId root,
       stack.pop_back();
       continue;
     }
-    if (net.is_dead(n)) {
-      scalar_fallback();
-      return;
-    }
-    const auto li = leaves.find(n);
-    if (li != leaves.end() && leaf_everywhere(li->second)) {
-      val.emplace(n, li->second.proj);
-      stack.pop_back();
-      continue;
-    }
+    if (net.is_dead(n)) return false;
     const GateType t = net.type(n);
-    if (t == GateType::Const0 || t == GateType::Const1) {
-      val.emplace(n, std::vector<uint64_t>(
-                         nwords, t == GateType::Const0 ? 0 : ~uint64_t{0}));
-      stack.pop_back();
-      continue;
-    }
-    if (t == GateType::Pi) {
-      // Interior PI in at least one lane: that lane's scalar walk
-      // escapes; decide all lanes scalar.
-      scalar_fallback();
-      return;
-    }
+    if (t == GateType::Pi) return false; // escaped past the leaves
     const FaninSpan fi = net.fanins(n);
     bool ready = true;
     for (const NodeId f : fi) {
@@ -268,33 +125,20 @@ void cut_tts_batch(const Network& net, NodeId root,
         ready = false;
       }
     }
-    if (!ready) continue;
-    if (++expanded > max_cone) {
-      scalar_fallback();
-      return;
+    if (!ready) {
+      if (++visited > kMaxCone) return false;
+      continue;
     }
     stack.pop_back();
-    const uint64_t** ins = ins_small;
-    if (fi.size() > kEvalInlineFanins) {
-      ins_big.resize(fi.size());
-      ins = ins_big.data();
-    }
-    for (std::size_t k = 0; k < fi.size(); ++k) ins[k] = val[fi[k]].data();
-    eval_gate_words(t, ins, fi.size(), tmp.data(), nwords);
-    if (li != leaves.end())
-      simd::v_mux(tmp.data(), li->second.mask.data(),
-                  li->second.proj.data(), tmp.data(), nwords);
-    val.emplace(n, tmp);
+    // unordered_map values stay put across inserts, so the pointers hold.
+    ins.clear();
+    for (const NodeId f : fi) ins.push_back(&val[f]);
+    uint64_t v = 0;
+    eval_gate_words(t, ins.data(), ins.size(), &v, 1);
+    val.emplace(n, v);
   }
-
-  const std::vector<uint64_t>& rv = val[root];
-  for (std::size_t c = 0; c < ncuts; ++c) {
-    uint16_t v = static_cast<uint16_t>((rv[c / 4] >> lane_shift(c)) & 0xFFFF);
-    if (cuts[c].nleaves < 4)
-      v &= static_cast<uint16_t>((1u << (1 << cuts[c].nleaves)) - 1);
-    (*tts)[c] = v;
-    (*ok)[c] = 1;
-  }
+  *tt = static_cast<uint16_t>(val[root]);
+  return true;
 }
 
 std::vector<std::vector<Cut>> enumerate_cuts(const Network& net,
@@ -302,12 +146,13 @@ std::vector<std::vector<Cut>> enumerate_cuts(const Network& net,
                                              const CutOptions& opt,
                                              uint64_t* cuts_enumerated,
                                              ResourceGovernor* gov) {
+  const int fold_limit = std::max(2 * opt.cut_limit, 16);
   std::vector<std::vector<Cut>> sets(net.node_count());
   const auto trivial = [](NodeId n) {
     Cut c;
     c.leaves[0] = n;
     c.nleaves = 1;
-    c.tt = 0xAAAA & 0x3; // variable 0 over one leaf
+    c.tt = kProj4[0];
     return c;
   };
   for (const NodeId n : order) {
@@ -325,40 +170,42 @@ std::vector<std::vector<Cut>> enumerate_cuts(const Network& net,
       if (cuts_enumerated) ++*cuts_enumerated;
       continue;
     }
-    // Fold fanin cut sets into merged leaf sets.
-    std::vector<Cut> acc{Cut{}}; // single empty cut as the fold seed
+    // Fold fanin cut sets into merged leaf sets, composing each merged
+    // cut's table from its parts' tables with the gate's operator. The
+    // seed is the operator's identity; Buf and Not fold as a 1-input XOR.
+    const bool is_and = t == GateType::And || t == GateType::Nand;
+    const bool is_or = t == GateType::Or || t == GateType::Nor;
+    Cut seed;
+    seed.tt = is_and ? 0xFFFF : 0x0000;
+    std::vector<Cut> acc{seed};
     for (const NodeId f : net.fanins(n)) {
       std::vector<Cut> next;
       for (const Cut& a : acc) {
         for (const Cut& b : sets[f]) {
           Cut m;
           if (!merge_leaves(a, b, &m)) continue;
+          const uint16_t ta = stretch(a, m), tb = stretch(b, m);
+          m.tt = is_and ? ta & tb : is_or ? ta | tb : ta ^ tb;
           next.push_back(m);
         }
       }
-      filter_cuts(&next, opt.merge_limit);
+      filter_cuts(&next, fold_limit);
       acc = std::move(next);
       if (acc.empty()) break; // every merge overflowed 4 leaves
     }
-    // Compute tables. Leaves the function does not depend on are kept:
-    // dropping them would leave the dropped node inside the cone, and the
-    // phase-C cut_tt revalidation walk (which must stay bounded by the
-    // leaves) could then never re-derive the table. NPN canonicalization
-    // handles dummy variables — degenerate functions have classes among
-    // the 222 like any other.
-    std::vector<Cut> ready;
-    std::vector<uint16_t> tts;
-    std::vector<uint8_t> tt_ok;
-    cut_tts_batch(net, n, acc, &tts, &tt_ok);
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-      if (!tt_ok[i]) continue;
-      acc[i].tt = tts[i];
-      ready.push_back(acc[i]);
-    }
-    filter_cuts(&ready, opt.cut_limit);
-    ready.push_back(trivial(n));
-    if (cuts_enumerated) *cuts_enumerated += ready.size();
-    out = std::move(ready);
+    if (t == GateType::Nand || t == GateType::Nor || t == GateType::Xnor ||
+        t == GateType::Not)
+      for (Cut& c : acc) c.tt = static_cast<uint16_t>(~c.tt);
+    // Leaves the function does not depend on are kept: dropping them would
+    // leave the dropped node inside the cone, and the phase-C cut_tt
+    // revalidation walk (which must stay bounded by the leaves) could then
+    // never re-derive the table. NPN canonicalization handles dummy
+    // variables — degenerate functions have classes among the 222 like
+    // any other.
+    filter_cuts(&acc, opt.cut_limit);
+    acc.push_back(trivial(n));
+    if (cuts_enumerated) *cuts_enumerated += acc.size();
+    out = std::move(acc);
   }
   return sets;
 }

@@ -10,11 +10,14 @@
 // per-node limit — the classic priority-cuts scheme. The trivial cut {n}
 // is always kept so fanouts can merge through n itself.
 //
-// Truth tables are computed by evaluating the cone between the leaves and
-// the root (leaf i reads projection kProj4[i]). Leaves the table does not
-// depend on are deliberately KEPT: they are still structurally inside the
-// cone, and the replacement engine revalidates cuts by re-walking the cone
-// bounded by the leaves. NPN canonicalization absorbs dummy variables.
+// Each merged cut's table is composed as the cut is built: both parts'
+// tables are re-expressed over the merged leaf set and combined with the
+// gate's AND/OR/XOR, and NAND/NOR/XNOR/NOT complement once after the last
+// fanin. Leaves the table does not depend on are deliberately KEPT: they
+// are still structurally inside the cone, and the replacement engine
+// revalidates cuts by re-walking the cone bounded by the leaves (leaf i
+// reads projection kProj4[i]). NPN canonicalization absorbs dummy
+// variables.
 //
 // Everything here is read-only over the network and deterministic: the
 // rewrite pass enumerates serially, then evaluates candidates in parallel
@@ -37,8 +40,9 @@ struct Cut {
   std::array<NodeId, 4> leaves = {Network::kNoNode, Network::kNoNode,
                                   Network::kNoNode, Network::kNoNode};
   uint8_t nleaves = 0;
-  uint16_t tt = 0; ///< over the leaves: leaf i is variable i (low 2^nleaves
-                   ///< bits meaningful; constants use nleaves == 0)
+  uint16_t tt = 0; ///< over the full 4-variable space: leaf i is variable
+                   ///< i, variables >= nleaves are don't-cares
+                   ///< (constants use nleaves == 0)
 
   bool same_leaves(const Cut& o) const {
     return nleaves == o.nleaves && leaves == o.leaves;
@@ -48,8 +52,8 @@ struct Cut {
 };
 
 struct CutOptions {
-  int cut_limit = 8;    ///< priority cuts kept per node (excl. the trivial cut)
-  int merge_limit = 24; ///< intermediate frontier cap while folding n-ary fanins
+  int cut_limit = 8; ///< priority cuts kept per node (excl. the trivial cut);
+                     ///< folds across n-ary fanins keep max(2*cut_limit, 16)
 };
 
 /// Per-node cut sets, indexed by NodeId (empty for nodes outside `order`).
@@ -63,23 +67,11 @@ std::vector<std::vector<Cut>> enumerate_cuts(const Network& net,
                                              ResourceGovernor* gov = nullptr);
 
 /// Re-derives the truth table of `cut` at `root` on the CURRENT network by
-/// walking the cone between root and the cut leaves. Returns false (without
+/// walking the cone between root and the cut leaves; the table has the
+/// same full 4-variable form as Cut::tt. Returns false (without
 /// a table) when the cut is stale: a leaf or the root is dead, the cone
-/// escapes past the leaves, or more than `max_cone` nodes are visited.
-bool cut_tt(const Network& net, NodeId root, const Cut& cut, uint16_t* tt,
-            int max_cone = 128);
-
-/// Batch form of cut_tt over all cuts of one root: the 16-bit tables are
-/// lane-packed four per 64-bit word and the shared cone is evaluated once
-/// through the word kernels, with a per-node mux splicing leaf projections
-/// into the lanes where that node is a leaf. Exact by construction —
-/// whenever the single union-cone walk cannot guarantee per-cut-identical
-/// results (union cone over max_cone, a dead node, or a PI that is not a
-/// leaf of every cut), it falls back to per-cut cut_tt — so (*ok)[i] and
-/// (*tts)[i] always equal cut_tt(net, root, cuts[i], ...) exactly.
-void cut_tts_batch(const Network& net, NodeId root,
-                   const std::vector<Cut>& cuts, std::vector<uint16_t>* tts,
-                   std::vector<uint8_t>* ok, int max_cone = 128);
+/// escapes past the leaves, or more than 128 nodes are expanded.
+bool cut_tt(const Network& net, NodeId root, const Cut& cut, uint16_t* tt);
 
 } // namespace rw
 } // namespace rmsyn

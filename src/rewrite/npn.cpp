@@ -1,7 +1,6 @@
 #include "rewrite/npn.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace rmsyn {
 namespace rw {
@@ -47,30 +46,6 @@ inline uint16_t gather(uint16_t f, const std::array<uint8_t, 16>& src) {
 }
 
 } // namespace
-
-uint16_t tt16_erase_var(uint16_t t, int var, int nvars) {
-  assert(var >= 0 && var < nvars && nvars <= 4);
-  uint16_t r = 0;
-  const int rows = 1 << (nvars - 1);
-  for (int m = 0; m < rows; ++m) {
-    const int lo = m & ((1 << var) - 1);
-    const int hi = m >> var;
-    const int srcm = lo | (hi << (var + 1)); // erased variable reads 0
-    r |= static_cast<uint16_t>((t >> srcm) & 1) << m;
-  }
-  return r;
-}
-
-uint16_t tt16_extend(uint16_t t, int nvars) {
-  assert(nvars >= 0 && nvars <= 4);
-  int rows = 1 << nvars;
-  uint32_t r = t & ((rows == 16) ? 0xFFFFu : ((1u << rows) - 1));
-  while (rows < 16) {
-    r |= r << rows;
-    rows <<= 1;
-  }
-  return static_cast<uint16_t>(r);
-}
 
 uint16_t npn_apply(uint16_t f, const NpnTransform& t) {
   uint16_t r = 0;

@@ -1,6 +1,6 @@
 // NPN canonicalization of 4-input functions (exhaustive over the full
-// transform group) plus the 16-bit truth-table helpers the cut-rewriting
-// engine computes with.
+// transform group) plus the variable projections the cut-rewriting engine
+// computes its 16-bit truth tables from.
 //
 // A 4-input function is a 16-bit word (bit m = f(minterm m), input j is bit
 // j of m). The NPN group acts by input permutation, input complementation
@@ -29,28 +29,6 @@ namespace rw {
 
 /// Projection of variable j onto a 16-bit (4-variable) truth table.
 inline constexpr uint16_t kProj4[4] = {0xAAAA, 0xCCCC, 0xF0F0, 0xFF00};
-
-/// Cofactor of a 16-bit table with variable `var` fixed to `value`; the
-/// result still ranges over 4 variables (the fixed one becomes irrelevant).
-inline uint16_t tt16_cofactor(uint16_t t, int var, bool value) {
-  const uint16_t mask = value ? kProj4[var] : static_cast<uint16_t>(~kProj4[var]);
-  const int shift = 1 << var;
-  const uint16_t half = t & mask;
-  return value ? static_cast<uint16_t>(half | (half >> shift))
-               : static_cast<uint16_t>(half | (half << shift));
-}
-
-inline bool tt16_depends(uint16_t t, int var) {
-  return tt16_cofactor(t, var, false) != tt16_cofactor(t, var, true);
-}
-
-/// Removes an irrelevant variable: the table over k variables (bits beyond
-/// 2^k replicate) loses position `var`, variables above it shift down.
-uint16_t tt16_erase_var(uint16_t t, int var, int nvars);
-
-/// Pads a table over `nvars` < 4 variables (only the low 2^nvars bits
-/// meaningful) to a full 16-bit table with the extra variables irrelevant.
-uint16_t tt16_extend(uint16_t t, int nvars);
 
 struct NpnTransform {
   std::array<uint8_t, 4> perm = {0, 1, 2, 3};

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "equiv/equiv.hpp"
 #include "network/network.hpp"
 #include "network/simulate.hpp"
 #include "network/stats.hpp"
@@ -218,7 +219,7 @@ BuildOutcome build_structure(Network* net_mut, const Network& net, NodeId root,
   const RVal base = resolve_ref(db_ref(e.root));
   const bool neg = db_neg(e.root) ^ xf.out_neg;
   const uint16_t built = neg ? static_cast<uint16_t>(~base.tt) : base.tt;
-  if (built != tt16_extend(cut.tt, cut.nleaves)) return out; // ok = false
+  if (built != cut.tt) return out; // ok = false
   out.ok = true;
   out.top = base.id;
   out.top_neg = neg;
@@ -246,8 +247,7 @@ EvalOut eval_root(const Network& net, NodeId root,
   EvalOut out;
   for (const Cut& cut : cutsets[root]) {
     if (cut.nleaves == 1 && cut.leaves[0] == root) continue; // trivial
-    const uint16_t full = tt16_extend(cut.tt, cut.nleaves);
-    const NpnResult nr = cache.canonicalize(full);
+    const NpnResult nr = cache.canonicalize(cut.tt);
     const DbEntry* e = db.lookup(nr.canon);
     if (!e) continue;
     ++out.db_hits;
@@ -292,13 +292,14 @@ void recycle_cascade(Network& net, const std::vector<NodeId>& seeds) {
 
 /// Independent functional check of the COMMITTED cone: rebuilds root's
 /// function over the cut leaves in a small BDD manager and compares it to
-/// the expected table. Exercises different machinery than the 16-bit
+/// the cut's table. Exercises different machinery than the 16-bit
 /// pre-check, so bookkeeping bugs in the materializer cannot slip through.
 bool bdd_cone_check(BddManager& mgr, const Network& net, NodeId root,
-                    const Cut& cut, uint16_t expect_full) {
+                    const Cut& cut) {
   std::unordered_map<NodeId, BddRef> val;
   for (int i = 0; i < cut.nleaves; ++i) val.emplace(cut.leaves[i], mgr.var(i));
   int visited = 0;
+  std::vector<BddRef> ops;
   std::vector<NodeId> stack{root};
   while (!stack.empty()) {
     const NodeId n = stack.back();
@@ -307,11 +308,6 @@ bool bdd_cone_check(BddManager& mgr, const Network& net, NodeId root,
       continue;
     }
     const GateType t = net.type(n);
-    if (t == GateType::Const0 || t == GateType::Const1) {
-      val.emplace(n, t == GateType::Const0 ? mgr.bdd_false() : mgr.bdd_true());
-      stack.pop_back();
-      continue;
-    }
     if (t == GateType::Pi || net.is_dead(n)) return false;
     bool ready = true;
     for (const NodeId f : net.fanins(n)) {
@@ -325,41 +321,13 @@ bool bdd_cone_check(BddManager& mgr, const Network& net, NodeId root,
       continue;
     }
     stack.pop_back();
-    const FaninSpan fi = net.fanins(n);
-    BddRef v = mgr.bdd_false();
-    switch (t) {
-      case GateType::Buf:
-        v = val[fi[0]];
-        break;
-      case GateType::Not:
-        v = mgr.bdd_not(val[fi[0]]);
-        break;
-      case GateType::And:
-      case GateType::Nand:
-        v = mgr.bdd_true();
-        for (const NodeId f : fi) v = mgr.bdd_and(v, val[f]);
-        if (t == GateType::Nand) v = mgr.bdd_not(v);
-        break;
-      case GateType::Or:
-      case GateType::Nor:
-        v = mgr.bdd_false();
-        for (const NodeId f : fi) v = mgr.bdd_or(v, val[f]);
-        if (t == GateType::Nor) v = mgr.bdd_not(v);
-        break;
-      case GateType::Xor:
-      case GateType::Xnor:
-        v = mgr.bdd_false();
-        for (const NodeId f : fi) v = mgr.bdd_xor(v, val[f]);
-        if (t == GateType::Xnor) v = mgr.bdd_not(v);
-        break;
-      default:
-        return false;
-    }
-    val.emplace(n, v);
+    ops.clear();
+    for (const NodeId f : net.fanins(n)) ops.push_back(val[f]);
+    val.emplace(n, gate_bdd(mgr, t, ops));
   }
   BddRef expect = mgr.bdd_false();
   for (int m = 0; m < 16; ++m) {
-    if (!((expect_full >> m) & 1)) continue;
+    if (!((cut.tt >> m) & 1)) continue;
     BddRef cube = mgr.bdd_true();
     for (int j = 0; j < 4; ++j)
       cube = mgr.bdd_and(cube, mgr.literal(j, (m >> j) & 1));
@@ -392,7 +360,7 @@ RewriteStats rewrite_network(Network& net, const RewriteOptions& opt,
       (opt.pool != nullptr && opt.pool->worker_count() > 0) ? opt.pool : nullptr;
   BddManager check_mgr(4, /*cache_bits=*/10);
 
-  const CutOptions cut_opt{opt.cut_limit, std::max(2 * opt.cut_limit, 16)};
+  const CutOptions cut_opt{opt.cut_limit};
 
   for (int pass = 0; pass < opt.max_passes; ++pass) {
     if (gov && gov->exhausted()) break;
@@ -509,10 +477,9 @@ RewriteStats rewrite_network(Network& net, const RewriteOptions& opt,
       dirty.push_back(root);
       sim.resimulate(dirty);
 
-      const uint16_t expect_full = tt16_extend(cand.cut.tt, cand.cut.nleaves);
       const bool sim_ok = sim.po_values_match(baseline);
       const bool bdd_ok =
-          sim_ok && bdd_cone_check(check_mgr, net, root, cand.cut, expect_full);
+          sim_ok && bdd_cone_check(check_mgr, net, root, cand.cut);
       if (!sim_ok || !bdd_ok) {
         if (!sim_ok) ++st.sim_rejects;
         else ++st.bdd_rejects;

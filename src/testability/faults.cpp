@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "bdd/bdd.hpp"
+#include "equiv/equiv.hpp"
 #include "obs/trace.hpp"
 #include "sched/pool.hpp"
 
@@ -426,32 +427,14 @@ bool is_irredundant(const Network& net) {
         return fault->stuck_value ? mgr.bdd_true() : mgr.bdd_false();
       return f[net.fanins(n)[k]];
     };
+    std::vector<BddRef> ops;
     for (const NodeId n : net.topo_order()) {
-      const auto& fi = net.fanins(n);
       const GateType t = net.type(n);
       if (t != GateType::Pi && t != GateType::Const0 && t != GateType::Const1) {
-        BddRef acc = in_f(n, 0);
-        switch (t) {
-          case GateType::Buf: break;
-          case GateType::Not: acc = mgr.bdd_not(acc); break;
-          case GateType::And: case GateType::Nand:
-            for (std::size_t k = 1; k < fi.size(); ++k)
-              acc = mgr.bdd_and(acc, in_f(n, k));
-            if (t == GateType::Nand) acc = mgr.bdd_not(acc);
-            break;
-          case GateType::Or: case GateType::Nor:
-            for (std::size_t k = 1; k < fi.size(); ++k)
-              acc = mgr.bdd_or(acc, in_f(n, k));
-            if (t == GateType::Nor) acc = mgr.bdd_not(acc);
-            break;
-          case GateType::Xor: case GateType::Xnor:
-            for (std::size_t k = 1; k < fi.size(); ++k)
-              acc = mgr.bdd_xor(acc, in_f(n, k));
-            if (t == GateType::Xnor) acc = mgr.bdd_not(acc);
-            break;
-          default: break;
-        }
-        f[n] = acc;
+        ops.clear();
+        for (std::size_t k = 0; k < net.fanin_count(n); ++k)
+          ops.push_back(in_f(n, k));
+        f[n] = gate_bdd(mgr, t, ops);
       }
       if (fault != nullptr && n == fault->node && fault->fanin_index == -1)
         f[n] = fault->stuck_value ? mgr.bdd_true() : mgr.bdd_false();

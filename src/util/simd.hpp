@@ -1,11 +1,11 @@
 // Word kernels for the bit-parallel paths (DESIGN.md §15).
 //
-// Good-value simulation, fault probing, signature compares and the packed
-// cut truth-table kernels are all word-parallel Boolean algebra over
-// arrays of 64-bit pattern words. These are their inner loops, written
-// once as plain word loops: and/or/xor (with fused complement),
-// accumulate variants for n-ary gates, not, andnot, mux, any-bit /
-// all-bits tests, an early-exit "do these differ" compare and a popcount.
+// Good-value simulation, fault probing, signature compares and the cut
+// revalidation walk are all word-parallel Boolean algebra over arrays of
+// 64-bit pattern words. These are their inner loops, written once as
+// plain word loops: and/or/xor (with fused complement), accumulate
+// variants for n-ary gates, not, an any-bit test, an early-exit "do these
+// differ" compare and a popcount.
 // The compiler's auto-vectorizer is the only vectorization.
 //
 // Arrays need no alignment, and dst may alias any source in every kernel
@@ -59,32 +59,11 @@ inline void v_not(uint64_t* dst, const uint64_t* a, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = ~a[i];
 }
 
-// dst[i] = a[i] & ~b[i].
-inline void v_andnot(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                     std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = a[i] & ~b[i];
-}
-
-// dst[i] = (m[i] & a[i]) | (~m[i] & b[i]) — lane select, used by the
-// batched cut truth-table kernel to splice leaf projections in.
-inline void v_mux(uint64_t* dst, const uint64_t* m, const uint64_t* a,
-                  const uint64_t* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = (m[i] & a[i]) | (~m[i] & b[i]);
-}
-
 // True when any bit of a[0..n) is set.
 inline bool v_any(const uint64_t* a, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i)
     if (a[i] != 0) return true;
   return false;
-}
-
-// True when every bit of every word is set (tail handling is the caller's
-// problem — pass full words only).
-inline bool v_all(const uint64_t* a, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    if (a[i] != ~0ull) return false;
-  return true;
 }
 
 // True when a and b differ anywhere, with early exit: the fault-detection

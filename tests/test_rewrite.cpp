@@ -83,16 +83,6 @@ TEST(Npn, CacheAgreesWithDirect) {
   }
 }
 
-TEST(Npn, TtHelpers) {
-  // erase_var removes an irrelevant variable, extend pads one back.
-  const uint16_t f = 0xAAAA & 0xCCCC; // x0 & x1 over 4 vars
-  EXPECT_TRUE(rw::tt16_depends(f, 0));
-  EXPECT_FALSE(rw::tt16_depends(f, 2));
-  const uint16_t g = rw::tt16_erase_var(f, 2, 4); // over 3 vars now
-  EXPECT_EQ(g & 0xFF, (0xAA & 0xCC) & 0xFFu);
-  EXPECT_EQ(rw::tt16_extend(g & 0xFF, 3), f);
-}
-
 // --- database ---------------------------------------------------------------
 
 TEST(RewriteDb, CoversEveryClassWithCorrectStructures) {
@@ -177,36 +167,27 @@ TEST(Cuts, EnumeratesCorrectTablesOnASmallCone) {
   EXPECT_TRUE(found_trivial);
 }
 
-TEST(Cuts, BatchedTablesMatchPerCutWalkUnderEveryDispatch) {
-  // cut_tts_batch's contract is exactness: for every cut, (ok, tt) must
-  // equal the scalar cut_tt walk — whether the lane-packed union-cone
-  // path survived or fell back. Checked on real enumerated cut sets, and
-  // with a tiny max_cone to force the fallback path through the same
-  // contract.
-  for (const char* name : {"rd53", "mlp4", "z4ml", "my_adder"}) {
+TEST(Cuts, ComposedTablesMatchConeWalkOnTable2AndArithmetic) {
+  // enumerate_cuts composes each cut's table from its fanin cuts' tables;
+  // the phase-C revalidation re-derives it by walking the cone. The two
+  // must agree on every cut the enumeration keeps, over all 4 variables.
+  std::vector<std::string> names = benchmark_names();
+  names.push_back("adder64");
+  names.push_back("mult16");
+  for (const std::string& name : names) {
     const Network net = decompose2(strash(make_benchmark(name).spec));
     const auto order = net.topo_order();
     const auto sets = rw::enumerate_cuts(net, order, rw::CutOptions{});
     for (const NodeId root : order) {
-      if (root >= sets.size() || sets[root].empty()) continue;
-      for (const int max_cone : {128, 3}) {
-        std::vector<uint16_t> tts;
-        std::vector<uint8_t> ok;
-        rw::cut_tts_batch(net, root, sets[root], &tts, &ok, max_cone);
-        ASSERT_EQ(tts.size(), sets[root].size());
-        ASSERT_EQ(ok.size(), sets[root].size());
-        for (std::size_t i = 0; i < sets[root].size(); ++i) {
-          uint16_t want = 0;
-          const bool want_ok =
-              rw::cut_tt(net, root, sets[root][i], &want, max_cone);
-          ASSERT_EQ(ok[i] != 0, want_ok) << name << " root " << root
-                                         << " cut " << i << " max_cone "
-                                         << max_cone;
-          if (want_ok) {
-            ASSERT_EQ(tts[i], want) << name << " root " << root << " cut "
-                                    << i;
-          }
-        }
+      for (std::size_t i = 0; i < sets[root].size(); ++i) {
+        const rw::Cut& cut = sets[root][i];
+        for (int j = 1; j < cut.nleaves; ++j)
+          ASSERT_LT(cut.leaves[j - 1], cut.leaves[j])
+              << name << " root " << root << " cut " << i;
+        uint16_t want = 0;
+        ASSERT_TRUE(rw::cut_tt(net, root, cut, &want))
+            << name << " root " << root << " cut " << i;
+        ASSERT_EQ(cut.tt, want) << name << " root " << root << " cut " << i;
       }
     }
   }
