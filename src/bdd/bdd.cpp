@@ -10,7 +10,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
-#include <unordered_map>
 
 #include "util/faultplan.hpp"
 
@@ -803,31 +802,6 @@ bool BddManager::check_canonical() const {
     if (nodes_[i].edge_ref != edge_counts[i]) return false;
   }
   return true;
-}
-
-BddRef import_bdd(BddManager& dst, const BddManager& src, BddRef f) {
-  if (&dst == &src) return f;
-  // Memo on regular source refs; the complement bit transfers directly
-  // because both managers use the same (index << 1) | complement encoding
-  // of phases.
-  std::unordered_map<BddRef, BddRef> memo;
-  const std::function<BddRef(BddRef)> rec = [&](BddRef g) -> BddRef {
-    if (src.is_terminal(g)) return g; // kTrue/kFalse are manager-invariant
-    const BddRef reg = BddManager::regular(g);
-    const BddRef phase = g & 1u;
-    if (const auto it = memo.find(reg); it != memo.end())
-      return it->second ^ phase;
-    const BddRef lo = rec(src.lo_of(reg));
-    if (BddManager::is_invalid(lo)) return BddManager::kInvalid;
-    const BddRef hi = rec(src.hi_of(reg));
-    if (BddManager::is_invalid(hi)) return BddManager::kInvalid;
-    const BddRef r =
-        dst.bdd_ite(dst.var(src.var_of(reg)), hi, lo);
-    if (BddManager::is_invalid(r)) return BddManager::kInvalid;
-    memo.emplace(reg, r);
-    return r ^ phase;
-  };
-  return rec(f);
 }
 
 } // namespace rmsyn

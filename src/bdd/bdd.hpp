@@ -25,12 +25,9 @@
 // package: the paper's OFDD is isomorphic to the ROBDD of the Reed-Muller
 // coefficient function (see fdd/fprm.hpp).
 //
-// Threading: a BddManager is single-threaded — one thread mutates it at a
-// time. The parallel candidate search (src/sched) gives each worker its own
-// manager clone and moves functions across with import_bdd(), which only
-// READS the source manager (structure accessors; no cache or stats
-// mutation), so concurrent imports from one quiescent source manager are
-// safe.
+// Threading: a BddManager is single-threaded — one thread uses it at a
+// time. Parallel batches (src/sched) give each row its own manager; no
+// function moves between managers.
 //
 // GC protocol. Operations never collect on their own; gc() frees exactly
 // the nodes unreachable from ref()'d roots (variable projection nodes are
@@ -338,15 +335,5 @@ private:
   ResourceGovernor* gov_ = nullptr;
   mutable BddStats stats_;
 };
-
-/// Copies `f` from `src` into `dst` under the shared variable numbering
-/// (dst.nvars() >= src's top referenced variable). Rebuilds bottom-up with
-/// ITE composition, so the two managers' variable ORDERS need not match;
-/// the result is canonical in dst. Only reads `src` (see the threading note
-/// above), which makes it the transfer primitive for per-worker manager
-/// clones in the parallel candidate search. Returns kInvalid when a
-/// governed `dst` trips mid-copy. Do not run with auto-reordering enabled
-/// on `dst` (intermediate refs are unpinned).
-BddRef import_bdd(BddManager& dst, const BddManager& src, BddRef f);
 
 } // namespace rmsyn

@@ -426,7 +426,6 @@ Network synthesize(const Network& spec, const SynthOptions& opt,
   if (opt.run_rewrite && regain()) {
     obs::ScopedStage stage(gov, sb, "rewrite");
     rw::RewriteOptions rwo = opt.rewrite;
-    if (rwo.pool == nullptr) rwo.pool = opt.polarity.pool;
     if (rwo.governor == nullptr) rwo.governor = gov;
     Network trial = out;
     rw::RewriteStats rst = rw::rewrite_network(trial, rwo, &rep.sim);

@@ -1,13 +1,10 @@
 #include "fdd/fprm.hpp"
 
-#include "obs/trace.hpp"
-
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <limits>
 #include <unordered_map>
-
-#include "sched/pool.hpp"
 
 namespace rmsyn {
 
@@ -159,14 +156,10 @@ FprmForm extract_fprm(BddManager& mgr, const Ofdd& ofdd, int nvars,
 
 namespace {
 
-/// The exhaustive scan fans out only with at least this many candidate
-/// vectors (smaller scans are cheaper than a task round-trip).
-constexpr uint64_t kParallelMinMasks = 32;
-
 // The candidate polarity for scan position `mask`: bit i of the mask
 // complements variable vars[i], everything else stays positive. Mask 0 is
-// PPRM, and masks ascend, so "lowest mask at minimum cost" is exactly the
-// winner of the serial ascending scan.
+// PPRM; the exhaustive scan visits masks in ascending order and keeps the
+// lowest mask at minimum cost.
 BitVec polarity_of_mask(const std::vector<int>& vars, uint64_t mask,
                         int nvars) {
   BitVec pol(static_cast<std::size_t>(nvars));
@@ -176,78 +169,11 @@ BitVec polarity_of_mask(const std::vector<int>& vars, uint64_t mask,
   return pol;
 }
 
-bool identity_order(const BddManager& mgr) {
-  for (int v = 0; v < mgr.nvars(); ++v)
-    if (mgr.level_of(v) != v) return false;
-  return true;
-}
-
-// Result of one chunk of the exhaustive scan: the minimum cost seen and the
-// lowest mask achieving it (sentinels when the chunk evaluated nothing).
-struct ScanBest {
-  std::pair<double, std::size_t> cost{std::numeric_limits<double>::infinity(),
-                                      std::numeric_limits<std::size_t>::max()};
-  uint64_t mask = std::numeric_limits<uint64_t>::max();
-};
-
-// Evaluates masks [begin, end) in a fresh manager clone. A BddManager is
-// single-threaded, so each chunk imports the output BDDs into its own
-// manager (import_bdd only reads the source, which is quiescent while its
-// owning thread waits on the futures). Both cost components are
-// order-independent given the identity variable order the clone shares with
-// the (guarded) parent: the cube count is a sat-count and the node count is
-// canonical for ROBDDs.
-ScanBest scan_polarity_chunk(const BddManager& src,
-                             const std::vector<BddRef>& fs,
-                             const std::vector<int>& vars,
-                             const std::vector<std::vector<int>>& out_vars,
-                             uint64_t begin, uint64_t end,
-                             ResourceGovernor* gov) {
-  ScanBest best;
-  BddManager local(src.nvars());
-  local.set_governor(gov);
-  std::vector<BddRef> lfs;
-  lfs.reserve(fs.size());
-  for (const BddRef f : fs) {
-    const BddRef lf = import_bdd(local, src, f);
-    if (BddManager::is_invalid(lf)) return best;
-    local.ref(lf);
-    lfs.push_back(lf);
-  }
-  const std::size_t gc_watermark = local.node_count() * 2 + 2048;
-  for (uint64_t mask = begin; mask < end; ++mask) {
-    if (gov != nullptr && gov->exhausted()) break;
-    const BitVec pol = polarity_of_mask(vars, mask, local.nvars());
-    double cubes = 0;
-    std::size_t nodes = 0;
-    bool complete = true;
-    for (std::size_t j = 0; j < lfs.size(); ++j) {
-      if (out_vars[j].empty()) continue;
-      const BddRef spec = rm_spectrum(local, lfs[j], out_vars[j], pol);
-      if (BddManager::is_invalid(spec)) {
-        complete = false;
-        break;
-      }
-      cubes += fprm_cube_count(local, spec, out_vars[j]);
-      nodes += local.size(spec);
-    }
-    if (local.node_count() > gc_watermark) local.gc();
-    if (!complete) continue;
-    const std::pair<double, std::size_t> c{cubes, nodes};
-    if (c < best.cost) { // masks ascend: first hit is the lowest mask
-      best.cost = c;
-      best.mask = mask;
-    }
-  }
-  return best;
-}
-
 } // namespace
 
 BitVec best_polarity(BddManager& mgr, BddRef f, const PolarityOptions& opt) {
   // The single-output search is exactly the multi search over one output:
   // same support, same (cube count, node count) cost, same scan order.
-  // Forwarding keeps the serial and parallel paths in one place.
   return best_polarity_multi(mgr, {f}, opt);
 }
 
@@ -274,7 +200,7 @@ BitVec best_polarity_multi(BddManager& mgr, const std::vector<BddRef>& fs,
     out_vars.push_back(std::move(ov));
   }
 
-  // As in best_polarity: one long-lived manager, pinned inputs, periodic GC.
+  // One long-lived manager, pinned inputs, periodic GC.
   for (const BddRef f : fs) mgr.ref(f);
   ResourceGovernor* gov = mgr.governor();
   const std::size_t gc_watermark = mgr.node_count() * 2 + 2048;
@@ -302,37 +228,6 @@ BitVec best_polarity_multi(BddManager& mgr, const std::vector<BddRef>& fs,
   auto best_cost = cost(best);
   if (static_cast<int>(vars.size()) <= opt.exhaustive_limit) {
     const uint64_t total = uint64_t{1} << vars.size();
-    if (opt.pool != nullptr && total >= kParallelMinMasks &&
-        identity_order(mgr)) {
-      // Level-2 fan-out: chunks of the ascending-mask scan run in manager
-      // clones; reducing by (cost, mask) lexicographic order reproduces the
-      // serial loop below bit-for-bit. Non-identity variable orders fall
-      // through to serial because the node-count tie-break depends on the
-      // parent's order, which a fresh clone would not share.
-      const uint64_t nchunks = std::min<uint64_t>(
-          total, static_cast<uint64_t>(opt.pool->slot_count()) * 2);
-      const uint64_t per = (total + nchunks - 1) / nchunks;
-      std::vector<Future<ScanBest>> futs;
-      for (uint64_t c = 0; c * per < total; ++c) {
-        const uint64_t lo = c * per;
-        const uint64_t hi = std::min(total, lo + per);
-        futs.push_back(opt.pool->submit([&mgr, &fs, &vars, &out_vars, lo, hi,
-                                         gov] {
-          RMSYN_SPAN("polarity-chunk");
-          return scan_polarity_chunk(mgr, fs, vars, out_vars, lo, hi, gov);
-        }));
-      }
-      ScanBest overall;
-      for (auto& fu : futs) {
-        const ScanBest b = opt.pool->wait(fu);
-        if (b.cost < overall.cost ||
-            (b.cost == overall.cost && b.mask < overall.mask))
-          overall = b;
-      }
-      if (overall.cost < best_cost)
-        best = polarity_of_mask(vars, overall.mask, mgr.nvars());
-      return finish(best);
-    }
     for (uint64_t mask = 0; mask < total; ++mask) {
       if (out_of_budget()) break; // keep the best polarity seen so far
       const BitVec pol = polarity_of_mask(vars, mask, mgr.nvars());

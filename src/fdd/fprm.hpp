@@ -83,21 +83,11 @@ Ofdd build_ofdd(BddManager& mgr, BddRef f, const BitVec& polarity);
 FprmForm extract_fprm(BddManager& mgr, const Ofdd& ofdd, int nvars,
                       std::size_t cube_limit = std::size_t{1} << 20);
 
-class ThreadPool;
-
 struct PolarityOptions {
   /// Supports of size <= exhaustive_limit are searched exhaustively
   /// (2^k spectra); larger supports use iterated greedy bit-flips.
   int exhaustive_limit = 8;
   int greedy_passes = 3;
-  /// Level-2 parallelism (see sched/pool.hpp): the exhaustive scan fans
-  /// its candidate polarity vectors out in chunks to per-worker manager
-  /// clones and reduces by (cost, polarity-vector) lexicographic order, so
-  /// the chosen polarity is bit-identical to the serial ascending scan.
-  /// The greedy bit-flip descent is inherently sequential (each flip
-  /// starts from the previous accept) and always runs serially. Null =
-  /// fully serial.
-  ThreadPool* pool = nullptr;
 };
 
 /// Searches for the polarity vector minimizing the FPRM cube count

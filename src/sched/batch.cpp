@@ -148,8 +148,8 @@ BatchResult BatchRunner::run(const std::vector<Benchmark>& benches) {
   };
 
   if (opt_.jobs <= 1) {
-    // Inline serial path: no pool, no level-2 fan-out — the reference
-    // execution that any jobs value must reproduce bit-identically.
+    // Inline serial path: no pool — the reference execution that any jobs
+    // value must reproduce bit-identically.
     for (std::size_t i = 0; i < benches.size(); ++i) {
       if (replayed[i].has_value()) {
         ++result.rows_replayed;
@@ -163,7 +163,7 @@ BatchResult BatchRunner::run(const std::vector<Benchmark>& benches) {
     // jobs-1 worker threads; the calling thread helps, so total
     // parallelism is exactly `jobs`.
     ThreadPool pool(opt_.jobs - 1);
-    if (opt_.inner_parallel) fopt.synth.polarity.pool = &pool;
+    if (opt_.inner_parallel) fopt.synth.rewrite.pool = &pool;
     std::mutex retries_mu;
     std::vector<Future<bool>> futures;
     futures.reserve(benches.size());

@@ -1,7 +1,8 @@
 // Batch serving layer: runs many independent synthesis flows over one
-// work-stealing pool (level-1 parallelism, across circuits) and optionally
-// hands the same pool to the in-flow polarity search (level-2 parallelism,
-// within a circuit; see fdd/fprm.hpp).
+// work-stealing pool. Rows are the one level of parallelism: each flow runs
+// serially on the worker that picked it up. The only in-flow user of the
+// pool is the optional rewrite post-pass (rewrite/rewrite.hpp), whose
+// candidate evaluation fans out when inner_parallel is set.
 //
 // Determinism contract (DESIGN.md §8): with an untripped budget, the rows
 // returned by run() are bit-identical for every jobs value — each flow owns
@@ -32,7 +33,7 @@ namespace rmsyn {
 struct BatchOptions {
   /// Per-flow options; limits apply per flow (fresh governor each), as in
   /// serial table2. The runner injects the shared budget and, when
-  /// inner_parallel is set, the pool for the level-2 candidate search.
+  /// inner_parallel is set, the pool for the rewrite post-pass.
   FlowOptions flow;
   /// Total parallelism (worker threads + the calling thread, which helps).
   /// <= 1 runs inline on the calling thread with no pool — the exact
@@ -40,7 +41,9 @@ struct BatchOptions {
   int jobs = 1;
   /// false: the first failed row cancels every not-yet-finished row.
   bool keep_going = true;
-  /// Hand the pool to the in-flow polarity search (level 2).
+  /// Hand the pool to the flow's rewrite post-pass (flow.synth.run_rewrite),
+  /// whose candidate evaluation then fans out inside the row. Without
+  /// run_rewrite the flag has no effect: one pool task per row.
   bool inner_parallel = true;
   /// Wall-clock budget for the WHOLE batch (0 = off); broadcast through
   /// the shared budget, unlike flow.limits.deadline_seconds which is

@@ -12,8 +12,9 @@
 //  * Helping wait. ThreadPool::wait(fut) RUNS queued tasks while the future
 //    is pending instead of blocking, so (a) a pool with zero worker threads
 //    degenerates to exact serial execution on the caller, and (b) nested
-//    fan-outs (a level-1 flow task fanning level-2 polarity chunks onto the
-//    same pool) cannot deadlock: the waiter works the queue it waits on.
+//    fan-outs (a batch row's rewrite pass fanning its candidate-evaluation
+//    chunks onto the same pool) cannot deadlock: the waiter works the queue
+//    it waits on.
 //  * Observability: per-worker tasks run, steal operations and tasks
 //    stolen, busy/idle seconds, peak queue depth — aggregated into
 //    SchedStats and printed by format_sched_summary next to the DD-kernel
@@ -21,10 +22,10 @@
 //
 // Determinism contract: the pool itself imposes no ordering; determinism is
 // the *callers'* responsibility and is achieved by reduction, not by
-// scheduling — every parallel site in rmsyn reduces worker results in a
-// canonical order ((cost, polarity-vector) lexicographic, row index, ...)
+// scheduling — every parallel site in rmsyn writes worker results to fixed
+// slots and reduces them in a canonical order (row index, root index, ...)
 // so `--jobs N` output is bit-identical to serial. See sched/batch.hpp and
-// the polarity-search fan-outs in fdd/fprm.cpp.
+// the candidate-evaluation fan-out in rewrite/rewrite.cpp.
 #pragma once
 
 #include <atomic>
@@ -157,7 +158,7 @@ public:
 
   int worker_count() const { return static_cast<int>(workers_.size()); }
   /// Distinct execution slots: workers + the external helper slot. Useful
-  /// for sizing per-slot scratch state (e.g. per-worker DD manager clones).
+  /// for sizing per-slot scratch state (e.g. rewrite's per-worker NPN caches).
   int slot_count() const { return worker_count() + 1; }
   /// Slot of the calling thread: 0..workers-1 on a worker of THIS pool,
   /// slot_count()-1 (the external slot) on any other thread.

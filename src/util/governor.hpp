@@ -21,8 +21,8 @@
 //    governor in the batch draws slices from (see src/sched/batch.hpp).
 //
 // Thread safety. One governor may be polled concurrently from several
-// worker threads (the parallel polarity search shares the flow's
-// governor across per-worker manager clones). The hot path — poll(),
+// worker threads (the rewrite pass's parallel candidate evaluation polls
+// the flow's governor from every chunk task). The hot path — poll(),
 // note_nodes(), count_allocation(), exhausted(), cancel() — is lock-free:
 // plain relaxed atomics, no mutex; so is the current stage, one pointer
 // that obs::ScopedStage saves and restores. The cold paths (trip

@@ -6,10 +6,10 @@
 #include <atomic>
 #include <numeric>
 #include <thread>
+#include <type_traits>
 
 #include "benchgen/spec.hpp"
 #include "equiv/equiv.hpp"
-#include "fdd/fprm.hpp"
 #include "flow/flow.hpp"
 #include "network/transform.hpp"
 #include "sched/batch.hpp"
@@ -46,9 +46,10 @@ TEST(ThreadPool, RunsEveryTaskOnceAcrossWorkerCounts) {
 }
 
 TEST(ThreadPool, NestedFanOutDoesNotDeadlock) {
-  // A level-1 task fans level-2 subtasks onto the same pool and waits for
-  // them from inside the pool — the helping wait must keep the queue
-  // moving even with fewer workers than blocked waiters.
+  // A row task fans subtasks onto the same pool and waits for them from
+  // inside the pool, as a batch row's rewrite pass does — the helping wait
+  // must keep the queue moving even with fewer workers than blocked
+  // waiters.
   ThreadPool pool(2);
   std::vector<Future<int>> outer;
   for (int i = 0; i < 16; ++i) {
@@ -196,9 +197,38 @@ TEST(BatchRunner, ParallelRowsBitIdenticalToSerialForEveryBenchmark) {
     expect_rows_identical(serial.rows[i], parallel.rows[i]);
   }
   EXPECT_EQ(serial.worst.to_string(), parallel.worst.to_string());
-  // The parallel run actually used the pool.
+  // The parallel run used the pool, one task per row: without the rewrite
+  // pass nothing inside a flow fans out.
   EXPECT_EQ(parallel.sched.workers, 3);
-  EXPECT_GT(parallel.sched.total_tasks(), 0u);
+  EXPECT_EQ(parallel.sched.total_tasks(), names.size());
+}
+
+TEST(BatchRunner, RewriteFanOutInRowsBitIdenticalToSerial) {
+  // With run_rewrite, inner_parallel hands the pool to each row's rewrite
+  // pass; these rows fan their candidate evaluation out onto it.
+  const std::vector<std::string> names = {"my_adder", "mlp4", "addm4"};
+  FlowOptions fopt;
+  fopt.synth.run_rewrite = true;
+  const BatchResult serial = run_flows(names, fopt, /*jobs=*/1);
+  const BatchResult parallel = run_flows(names, fopt, /*jobs=*/4);
+  ASSERT_EQ(serial.rows.size(), names.size());
+  ASSERT_EQ(parallel.rows.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    SCOPED_TRACE(names[i]);
+    expect_rows_identical(serial.rows[i], parallel.rows[i]);
+    const rw::RewriteStats& a = serial.rows[i].rewrite;
+    const rw::RewriteStats& b = parallel.rows[i].rewrite;
+    EXPECT_GT(a.roots, 0u);
+    rw::RewriteStats::fields([&](const char* field, auto member, StatKind kind) {
+      if constexpr (std::is_member_object_pointer_v<decltype(member)>) {
+        if (kind == StatKind::Counter) {
+          EXPECT_EQ(a.*member, b.*member) << field;
+        }
+      }
+    });
+  }
+  // More tasks than rows: the rewrite chunks really ran on the pool.
+  EXPECT_GT(parallel.sched.total_tasks(), names.size());
 }
 
 TEST(BatchRunner, CancellationKeepsCompletedRowsIntact) {
@@ -248,23 +278,6 @@ TEST(BatchRunner, KeepGoingFalseCancelsAfterFirstFailure) {
   EXPECT_TRUE(got.worst.is_failed());
   // Later rows were cancelled, not run: their stage is the batch marker.
   EXPECT_EQ(got.rows[2].ours_status.stage, "batch");
-}
-
-TEST(PolaritySearch, ParallelExhaustiveMatchesSerial) {
-  // rd73 has 7-variable outputs → 128 masks, above the fan-out threshold.
-  const Benchmark bench = make_benchmark("rd73");
-  BddManager mgr(static_cast<int>(bench.spec.pi_count()));
-  const std::vector<BddRef> outs = output_bdds(mgr, bench.spec);
-
-  PolarityOptions serial_opt;
-  const BitVec serial_multi = best_polarity_multi(mgr, outs, serial_opt);
-  const BitVec serial_single = best_polarity(mgr, outs[0], serial_opt);
-
-  ThreadPool pool(3);
-  PolarityOptions par_opt;
-  par_opt.pool = &pool;
-  EXPECT_TRUE(best_polarity_multi(mgr, outs, par_opt) == serial_multi);
-  EXPECT_TRUE(best_polarity(mgr, outs[0], par_opt) == serial_single);
 }
 
 TEST(Governor, ConcurrentPollsTripExactlyOnceAndStay) {
