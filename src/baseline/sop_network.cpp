@@ -135,6 +135,7 @@ int SopNetwork::append_node(Cover cover) {
   if (cover.nvars() < var + 1) cover.resize_vars(var + 1);
   covers_.emplace_back();
   fanins_.emplace_back();
+  readers_.emplace_back();
   store_cover(covers_.size() - 1, std::move(cover));
   dead_.push_back(false);
   return var;
@@ -158,9 +159,32 @@ void SopNetwork::set_cover(int var, Cover cover) {
 
 void SopNetwork::store_cover(std::size_t k, Cover cover) {
   const BitVec sup = cover.support();
-  fanins_[k].clear();
+  std::vector<int> next;
   for (std::size_t v = sup.first_set(); v != BitVec::npos; v = sup.next_set(v + 1))
-    fanins_[k].push_back(static_cast<int>(v));
+    next.push_back(static_cast<int>(v));
+  // Both fanin lists are ascending: merge them to update the readers of
+  // the node fanins that left or joined.
+  const int self = num_pis_ + static_cast<int>(k);
+  const auto& prev = fanins_[k];
+  std::size_t i = 0, j = 0;
+  while (i < prev.size() || j < next.size()) {
+    if (j == next.size() || (i < prev.size() && prev[i] < next[j])) {
+      if (!is_pi(prev[i])) {
+        auto& rd = readers_[static_cast<std::size_t>(prev[i] - num_pis_)];
+        *std::find(rd.begin(), rd.end(), self) = rd.back();
+        rd.pop_back();
+      }
+      ++i;
+    } else if (i == prev.size() || next[j] < prev[i]) {
+      if (!is_pi(next[j]))
+        readers_[static_cast<std::size_t>(next[j] - num_pis_)].push_back(self);
+      ++j;
+    } else {
+      ++i;
+      ++j;
+    }
+  }
+  fanins_[k] = std::move(next);
   covers_[k] = std::move(cover);
 }
 
@@ -220,9 +244,8 @@ int SopNetwork::collapse_growth(int var) const {
   if (!gbar_opt) return std::numeric_limits<int>::max();
   const Cover gbar = single_cube_containment(*gbar_opt);
   int growth = -g.literal_count();
-  for (std::size_t k = 0; k < covers_.size(); ++k) {
-    if (!reads(k, var)) continue;
-    const Cover& f = covers_[k];
+  for (const int r : readers(var)) {
+    const Cover& f = cover_of(r);
     const Cover pos_part = f.cofactor(var, true);
     const Cover neg_part = f.cofactor(var, false);
     const Cover merged =
@@ -239,44 +262,130 @@ bool SopNetwork::collapse_node(int var) {
   const auto gbar_opt = g.complement_bounded(1'000'000);
   if (!gbar_opt) return false;
   const Cover gbar = single_cube_containment(*gbar_opt);
-  for (std::size_t k = 0; k < covers_.size(); ++k) {
-    if (!reads(k, var)) continue;
-    const Cover& f = covers_[k];
+  // Each rewrite drops its reader from this list, so walk a copy.
+  const std::vector<int> rd = readers(var);
+  for (const int r : rd) {
+    const Cover& f = cover_of(r);
     Cover pos_part = f.cofactor(var, true);
     Cover neg_part = f.cofactor(var, false);
     // f = v·f_v + v̄·f_v̄ with v := g.
     Cover merged = (pos_part & g) | (neg_part & gbar);
     // The cofactor parts overlap on cubes without v; (A|A) duplicates are
     // cleaned by containment.
-    store_cover(k, single_cube_containment(merged));
+    store_cover(static_cast<std::size_t>(r - num_pis_),
+                single_cube_containment(merged));
   }
   // Mark as dead by emptying the cover (it is no longer referenced).
   store_cover(static_cast<std::size_t>(var - num_pis_), Cover(num_vars()));
   dead_[static_cast<std::size_t>(var - num_pis_)] = true;
+  ++dead_count_;
   return true;
 }
 
+void SopNetwork::compact() {
+  std::vector<int> new_id(static_cast<std::size_t>(num_vars()), -1);
+  for (int v = 0; v < num_pis_; ++v) new_id[static_cast<std::size_t>(v)] = v;
+  int width = num_pis_;
+  for (std::size_t k = 0; k < covers_.size(); ++k)
+    if (!dead_[k]) new_id[static_cast<std::size_t>(num_pis_) + k] = width++;
+
+  const std::size_t live = static_cast<std::size_t>(width - num_pis_);
+  std::vector<Cover> covers;
+  std::vector<std::vector<int>> fanins;
+  covers.reserve(live);
+  fanins.reserve(live);
+  for (std::size_t k = 0; k < covers_.size(); ++k) {
+    if (dead_[k]) continue;
+    std::vector<Cube> cubes;
+    cubes.reserve(covers_[k].size());
+    for (const Cube& c : covers_[k].cubes()) {
+      Cube& nc = cubes.emplace_back(width);
+      for (std::size_t w = 0; w < c.pos_mask().words(); ++w) {
+        const uint64_t pos = c.pos_mask().word(w);
+        for (uint64_t m = pos | c.neg_mask().word(w); m != 0; m &= m - 1) {
+          const int b = __builtin_ctzll(m);
+          const int v = new_id[w * 64 + static_cast<std::size_t>(b)];
+          assert(v >= 0 && "a cover reads a collapsed node");
+          if ((pos >> b) & 1) nc.add_pos(v); else nc.add_neg(v);
+        }
+      }
+    }
+    covers.emplace_back(width, std::move(cubes));
+    auto& fi = fanins.emplace_back(std::move(fanins_[k]));
+    for (int& f : fi) f = new_id[static_cast<std::size_t>(f)];
+  }
+
+  std::vector<std::vector<int>> readers(live);
+  for (std::size_t k = 0; k < live; ++k)
+    for (const int f : fanins[k])
+      if (!is_pi(f))
+        readers[static_cast<std::size_t>(f - num_pis_)].push_back(
+            num_pis_ + static_cast<int>(k));
+  for (int& po : pos_) po = new_id[static_cast<std::size_t>(po)];
+
+  covers_ = std::move(covers);
+  fanins_ = std::move(fanins);
+  readers_ = std::move(readers);
+  dead_.assign(live, false);
+  dead_count_ = 0;
+}
+
+int SopNetwork::first_non_po(const std::vector<char>& is_po,
+                             std::vector<uint32_t>& mark,
+                             uint32_t epoch) const {
+  // topo_nodes()'s DFS, stopped at the first node it finishes that is not
+  // a PO.
+  std::vector<std::pair<int, std::size_t>> stack; // (node, next fanin)
+  const auto enter = [&](int v) {
+    if (is_pi(v) || mark[static_cast<std::size_t>(v)] == epoch) return;
+    mark[static_cast<std::size_t>(v)] = epoch;
+    stack.emplace_back(v, 0);
+  };
+  for (const int po : pos_) {
+    enter(po);
+    while (!stack.empty()) {
+      auto& [v, next] = stack.back();
+      const auto& fi = fanins(v);
+      if (next < fi.size()) {
+        enter(fi[next++]);
+        continue;
+      }
+      if (!is_po[static_cast<std::size_t>(v)]) return v;
+      stack.pop_back();
+    }
+  }
+  return -1;
+}
+
 bool SopNetwork::flatten(std::size_t max_cubes) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const int n : topo_nodes()) {
-      bool is_po = false;
-      for (const int po : pos_)
-        if (po == n) { is_po = true; break; }
-      if (is_po) continue;
-      if (!collapse_node(n)) return false;
-      changed = true;
-      // Abort when a cover blows past the cap.
-      for (const auto& c : covers_)
-        if (c.size() > max_cubes) return false;
-      break; // topo list is stale after a collapse
+  std::vector<char> is_po;
+  std::vector<uint32_t> mark;
+  uint32_t epoch = 0;
+  // Both are indexed by variable, so they are rebuilt after a compaction.
+  const auto reset_marks = [&] {
+    is_po.assign(static_cast<std::size_t>(num_vars()), 0);
+    for (const int po : pos_) is_po[static_cast<std::size_t>(po)] = 1;
+    mark.assign(static_cast<std::size_t>(num_vars()), 0);
+    epoch = 0;
+  };
+  reset_marks();
+  const auto too_big = [&](int v) { return cover_of(v).size() > max_cubes; };
+  for (int n; (n = first_non_po(is_po, mark, ++epoch)) >= 0;) {
+    // Abort when a cover blows past the cap; only the covers a collapse
+    // rewrites can grow.
+    const std::vector<int> rewritten = readers(n);
+    if (!collapse_node(n)) return false;
+    if (std::any_of(rewritten.begin(), rewritten.end(), too_big)) return false;
+    if (dead_count_ > covers_.size() - dead_count_) {
+      compact();
+      reset_marks();
     }
   }
   // Fully flat iff every PO cover depends on PIs only.
   for (const int po : pos_)
     for (const int f : fanins(po))
       if (!is_pi(f)) return false;
+  compact();
   return true;
 }
 

@@ -5,12 +5,15 @@
 //
 // All covers live in one global variable space: variable v < num_pis() is
 // primary input v; variable num_pis()+k is the output of internal node k.
-// This makes substitution (eliminate) and cross-node extraction plain cover
-// algebra without per-node variable remapping.
+// Substitution (eliminate) and cross-node extraction are thus plain cover
+// algebra. The space grows with add_node() and shrinks in compact(), which
+// drops collapsed nodes and renumbers the survivors in their old order;
+// flatten() compacts as it collapses, so a flattened network's covers are
+// as wide as its live variables, not as every node it ever had.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -33,9 +36,10 @@ public:
   std::size_t node_count() const { return covers_.size(); }
 
   /// Adds an internal node with the given cover (over the current variable
-  /// space or narrower); returns its variable id. Every cover is then
-  /// widened to the new variable space, so cover algebra across nodes never
-  /// mixes widths.
+  /// space or narrower); returns its variable id, which is the highest one
+  /// and stays valid until the next compact(). Every cover is then widened
+  /// to the new variable space, so cover algebra across nodes never mixes
+  /// widths.
   int add_node(Cover cover);
 
   const Cover& cover_of(int var) const;
@@ -51,6 +55,12 @@ public:
   const std::vector<int>& fanins(int var) const {
     assert(!is_pi(var));
     return fanins_[static_cast<std::size_t>(var - num_pis_)];
+  }
+  /// Internal nodes whose cover reads internal node `var`, in no
+  /// particular order. Maintained on every cover change.
+  const std::vector<int>& readers(int var) const {
+    assert(!is_pi(var));
+    return readers_[static_cast<std::size_t>(var - num_pis_)];
   }
   /// Number of cover references to each variable (POs count once).
   std::vector<int> fanout_counts() const;
@@ -74,11 +84,23 @@ public:
   /// INT_MAX when the complement effort bound is exceeded.
   int collapse_growth(int var) const;
 
+  /// Drops the collapsed nodes and renumbers the others: PIs keep their
+  /// ids, surviving nodes take the next ids in ascending old-id order, and
+  /// every cover is rebuilt at the new width with its cube order kept. The
+  /// renumbering is monotone, so every order that follows variable ids
+  /// (topo_nodes(), lowest-variable tie-breaks, cube text order) is kept.
+  /// Every variable id held across the call is invalidated.
+  void compact();
+
   /// Collapses the whole network to two-level form (one cover per PO over
-  /// PIs only), the shape of the IWLS'91 PLA benchmarks. Returns false —
-  /// leaving the network partially collapsed but consistent — when any
-  /// intermediate cover would exceed `max_cubes`. Callers wanting
-  /// all-or-nothing semantics should flatten a copy.
+  /// PIs only), the shape of the IWLS'91 PLA benchmarks. Each step
+  /// collapses the first non-PO node of topo_nodes(), found by a DFS that
+  /// stops there. Returns false — leaving the network partially collapsed
+  /// but consistent — when a collapse grows a cover past `max_cubes`. The
+  /// network is compacted whenever collapsed nodes outnumber the others,
+  /// and once more on success, so variable ids held across the call are
+  /// invalidated. Callers wanting all-or-nothing semantics should flatten
+  /// a copy.
   bool flatten(std::size_t max_cubes);
 
   /// Converts to a gate network, factoring each node cover into AND/OR/NOT
@@ -86,12 +108,13 @@ public:
   Network to_network() const;
 
 private:
-  /// True when node k's cover references variable `var`.
-  bool reads(std::size_t k, int var) const {
-    return std::binary_search(fanins_[k].begin(), fanins_[k].end(), var);
-  }
-  /// Replaces node k's cover and recomputes its fanins.
+  /// Replaces node k's cover and updates its fanins and their readers.
   void store_cover(std::size_t k, Cover cover);
+  /// The first non-PO node that topo_nodes() would list, or -1. A
+  /// variable is visited when its `mark` entry equals `epoch`, so each
+  /// call must pass an epoch no entry holds yet.
+  int first_non_po(const std::vector<char>& is_po,
+                   std::vector<uint32_t>& mark, uint32_t epoch) const;
   /// add_node without the widening, for bulk construction.
   int append_node(Cover cover);
   void widen_all();
@@ -99,7 +122,9 @@ private:
   int num_pis_ = 0;
   std::vector<Cover> covers_;       // per internal node
   std::vector<std::vector<int>> fanins_; // support of each cover
-  std::vector<bool> dead_;          // collapsed/unreferenced nodes
+  std::vector<std::vector<int>> readers_; // nodes whose fanins hold it
+  std::vector<bool> dead_;          // collapsed nodes
+  std::size_t dead_count_ = 0;
   std::vector<int> pos_;
   std::vector<std::string> po_names_;
 };
