@@ -73,6 +73,9 @@ std::optional<Candidate> build_cubes_candidate(const Network& spec,
   ResourceGovernor* gov = mgr.governor();
   Candidate cand;
   const std::vector<NodeId> pi_nodes = add_spec_pis(cand.net, spec);
+  // Dead OFDDs are collected past the polarity search's watermark rule.
+  const std::size_t live_at_start = mgr.node_count();
+  const std::size_t gc_watermark = live_at_start * 2 + 2048;
   for (std::size_t j = 0; j < spec.po_count(); ++j) {
     const BddRef f = spec_fn[j];
     if (BddManager::is_invalid(f)) return std::nullopt;
@@ -130,10 +133,13 @@ std::optional<Candidate> build_cubes_candidate(const Network& spec,
       cand.pending.emplace_back(j, std::move(ofdd));
     }
     cand.forms.push_back(std::move(form));
-    // This output's polarity-search spectra are dead; the spec functions
-    // stay pinned by output_bdds, pending OFDDs by their ref.
-    mgr.gc();
+    // This output's OFDD is dead unless pending: the spec functions stay
+    // pinned by output_bdds, pending OFDDs by their ref.
+    if (mgr.node_count() > gc_watermark) mgr.gc();
   }
+  // The next search sets its watermark from the live count; hand it live
+  // nodes, not this candidate's leftovers.
+  if (mgr.node_count() > live_at_start + 2048) mgr.gc();
   return cand;
 }
 

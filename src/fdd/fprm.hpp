@@ -65,6 +65,24 @@ struct Ofdd {
 BddRef rm_spectrum(BddManager& mgr, BddRef f, const std::vector<int>& vars,
                    const BitVec& polarity);
 
+/// One polarity flip on a spectrum: given R_f under some polarity, returns
+/// R_f under the same polarity with variable v's phase flipped (the
+/// butterfly step S|v=0 ^= S|v=1, an involution). v must be one of the
+/// spectrum's variables. A node at v's level becomes (v, lo⊕hi, hi), a
+/// subgraph below it becomes (v, 0, g), and nodes above it are rebuilt.
+/// Governed: returns kInvalid when the manager's governor trips.
+BddRef rm_flip(BddManager& mgr, BddRef spectrum, int v);
+
+/// The spectrum rm_spectrum builds, as a bit table (vars.size() <= 26):
+/// input i of the table is the variable of `vars` at the (k-1-i)-th level
+/// of the manager's current order, so the top level is the most
+/// significant index bit and each level's cofactors are contiguous blocks.
+/// Its popcount is the cube count and its bdd_size() the spectrum's
+/// BddManager::size().
+TruthTable rm_spectrum_table(const BddManager& mgr, BddRef f,
+                             const std::vector<int>& vars,
+                             const BitVec& polarity);
+
 /// Inverse of rm_spectrum: rebuilds the function BDD from a spectrum
 /// (used by tests to check the transform is an involution-like pair).
 BddRef rm_inverse(BddManager& mgr, BddRef spectrum, const std::vector<int>& vars,
@@ -84,21 +102,29 @@ FprmForm extract_fprm(BddManager& mgr, const Ofdd& ofdd, int nvars,
                       std::size_t cube_limit = std::size_t{1} << 20);
 
 struct PolarityOptions {
-  /// Supports of size <= exhaustive_limit are searched exhaustively
-  /// (2^k spectra); larger supports use iterated greedy bit-flips.
+  /// A support (the union of the outputs' supports) of size <=
+  /// exhaustive_limit is searched exhaustively: every one of its 2^k
+  /// polarities is scored, the lowest mask at minimum cost wins. A larger
+  /// one is searched by greedy one-variable flips from all-positive, in
+  /// ascending variable order, for up to greedy_passes passes.
   int exhaustive_limit = 8;
   int greedy_passes = 3;
 };
 
 /// Searches for the polarity vector minimizing the FPRM cube count
-/// (tie-break: spectrum node count). Returns a global-width polarity vector
-/// (bits outside the support are 1/positive).
+/// (tie-break: spectrum node count); the one-output case of
+/// best_polarity_multi. Returns a global-width polarity vector (bits
+/// outside the support are 1/positive).
 BitVec best_polarity(BddManager& mgr, BddRef f, const PolarityOptions& opt = {});
 
 /// Single polarity vector for a multi-output function, minimizing the total
-/// cube count over all outputs (tie-break: total spectrum size). Used by the
-/// shared-OFDD construction, where one polarity per PI is required for
-/// cross-output sharing.
+/// cube count over all outputs (tie-break: total spectrum node count). Used
+/// by the shared-OFDD construction, where one polarity per PI is required
+/// for cross-output sharing. Each output's spectrum is built once, under
+/// the all-positive polarity, and every candidate moves it by one-variable
+/// flips (rm_flip): a bit table for a support of up to 16 variables, a
+/// pinned BDD above. The governor is polled once per candidate; when it
+/// trips, the best polarity seen so far is returned.
 BitVec best_polarity_multi(BddManager& mgr, const std::vector<BddRef>& fs,
                            const PolarityOptions& opt = {});
 
@@ -108,8 +134,8 @@ BitVec best_polarity_multi(BddManager& mgr, const std::vector<BddRef>& fs,
 /// mask itself since each variable appears at most once.)
 std::vector<bool> prime_flags(const FprmForm& form);
 
-/// Oracle path used by tests: FPRM spectrum of a truth table via the GF(2)
-/// butterfly, with per-variable polarities applied by swapping cofactors.
+/// Oracle path used by tests: FPRM spectrum of a truth table, the PPRM
+/// spectrum of f with its negative-polarity inputs complemented.
 TruthTable fprm_spectrum_tt(const TruthTable& f, const BitVec& polarity);
 
 /// Expands an FprmForm back into a truth table (small nvars only).

@@ -1,5 +1,6 @@
 #include "tt/truth_table.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -136,23 +137,98 @@ TruthTable TruthTable::extend(int nvars) const {
   return r;
 }
 
-void TruthTable::reed_muller_transform() {
-  // Butterfly: for each variable, XOR the cofactor-0 half into the
-  // cofactor-1 half. Word-level for stride >= 64, bit-level below.
-  const uint64_t n = size();
-  for (int v = 0; v < nvars_; ++v) {
-    const uint64_t stride = uint64_t{1} << v;
-    if (stride >= 64) {
-      const uint64_t wstride = stride >> 6;
-      for (uint64_t base = 0; base < (n >> 6); base += 2 * wstride)
-        for (uint64_t w = 0; w < wstride; ++w)
-          bits_.word(base + wstride + w) ^= bits_.word(base + w);
-    } else {
-      for (uint64_t base = 0; base < n; base += 2 * stride)
-        for (uint64_t i = 0; i < stride; ++i)
-          if (bits_.get(base + i)) bits_.flip(base + stride + i);
+namespace {
+
+// Within one 64-bit word, the minterm positions where input v (v < 6) is 0.
+constexpr uint64_t kLowHalf[6] = {
+    0x5555555555555555ull, 0x3333333333333333ull, 0x0F0F0F0F0F0F0F0Full,
+    0x00FF00FF00FF00FFull, 0x0000FFFF0000FFFFull, 0x00000000FFFFFFFFull};
+
+// One GF(2) butterfly step on input v: the cofactor-0 half is XORed into
+// the cofactor-1 half (`up`) or the other way round. Inside each word for
+// v < 6, across word blocks above.
+void butterfly(BitVec& bits, int v, bool up) {
+  const std::size_t nw = bits.words();
+  if (v < 6) {
+    const unsigned s = 1u << v;
+    const uint64_t lo = kLowHalf[v];
+    for (std::size_t w = 0; w < nw; ++w) {
+      uint64_t& x = bits.word(w);
+      x ^= up ? (x & lo) << s : (x >> s) & lo;
     }
+    return;
   }
+  const std::size_t ws = std::size_t{1} << (v - 6);
+  for (std::size_t base = 0; base < nw; base += 2 * ws)
+    for (std::size_t w = 0; w < ws; ++w) {
+      if (up)
+        bits.word(base + ws + w) ^= bits.word(base + w);
+      else
+        bits.word(base + w) ^= bits.word(base + ws + w);
+    }
+}
+
+} // namespace
+
+void TruthTable::reed_muller_transform() {
+  for (int v = 0; v < nvars_; ++v) butterfly(bits_, v, true);
+}
+
+void TruthTable::rm_flip(int var) {
+  assert(var >= 0 && var < nvars_);
+  butterfly(bits_, var, false);
+}
+
+std::size_t TruthTable::bdd_size() const {
+  const uint64_t* d = bits_.data();
+  std::size_t nodes = 0;
+  std::vector<uint64_t> seen; // value bitmap / value list / block offsets
+  for (int b = nvars_; b >= 1; --b) {
+    // The level whose variable is input b-1: 2^(nvars-b) blocks of 2^b bits.
+    if (b <= 6) {
+      const unsigned len = 1u << b;
+      const unsigned half = len / 2;
+      const uint64_t all = len == 64 ? ~uint64_t{0} : (uint64_t{1} << len) - 1;
+      const uint64_t lo = (uint64_t{1} << half) - 1;
+      // Blocks of up to 16 bits are deduplicated in a bitmap of values.
+      const bool bitmap = b <= 4;
+      seen.assign(bitmap ? ((std::size_t{1} << len) + 63) / 64 : 0, 0);
+      for (uint64_t at = 0; at < size(); at += len) {
+        uint64_t x = (d[at >> 6] >> (at & 63)) & all;
+        if ((x & lo) == (x >> half)) continue; // no node on this level
+        if (x & 1) x ^= all; // one phase stands for the complement pair
+        if (!bitmap) {
+          seen.push_back(x);
+        } else if (((seen[x >> 6] >> (x & 63)) & 1) == 0) {
+          seen[x >> 6] |= uint64_t{1} << (x & 63);
+          ++nodes;
+        }
+      }
+      if (!bitmap) {
+        std::sort(seen.begin(), seen.end());
+        nodes += static_cast<std::size_t>(
+            std::unique(seen.begin(), seen.end()) - seen.begin());
+      }
+      continue;
+    }
+    const std::size_t wl = std::size_t{1} << (b - 6);
+    const std::size_t wh = wl / 2;
+    seen.clear();
+    for (std::size_t at = 0; at < bits_.words(); at += wl)
+      if (!std::equal(d + at, d + at + wh, d + at + wh)) seen.push_back(at);
+    const auto phase = [&](uint64_t at) { return (d[at] & 1) ? ~uint64_t{0} : 0; };
+    const auto cmp = [&](uint64_t a, uint64_t c) {
+      const uint64_t pa = phase(a), pc = phase(c);
+      for (std::size_t i = 0; i < wl; ++i)
+        if ((d[a + i] ^ pa) != (d[c + i] ^ pc)) return (d[a + i] ^ pa) < (d[c + i] ^ pc) ? -1 : 1;
+      return 0;
+    };
+    std::sort(seen.begin(), seen.end(),
+              [&](uint64_t a, uint64_t c) { return cmp(a, c) < 0; });
+    for (std::size_t i = 0; i < seen.size(); ++i)
+      if (i == 0 || cmp(seen[i - 1], seen[i]) != 0) ++nodes;
+  }
+  return nodes;
 }
 
 TruthTable TruthTable::pprm_spectrum() const {

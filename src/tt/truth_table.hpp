@@ -7,6 +7,7 @@
 // against.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -72,6 +73,18 @@ public:
   /// it twice is the identity — it is an involution over GF(2).
   void reed_muller_transform();
 
+  /// One butterfly step the other way, S|x_var=0 ^= S|x_var=1, leaving
+  /// S|x_var=1 unchanged. On a fixed-polarity Reed-Muller coefficient table
+  /// it flips x_var's polarity (f = A ⊕ x·B = (A ⊕ B) ⊕ x̄·B); it is an
+  /// involution.
+  void rm_flip(int var);
+
+  /// Node count of this function's ROBDD with complement edges, as
+  /// BddManager::size() reports it, under the order that puts the most
+  /// significant index bit on top: per level, the distinct cofactor blocks
+  /// whose two halves differ, counted up to complement.
+  std::size_t bdd_size() const;
+
   /// PPRM coefficient table of this function (non-mutating convenience).
   TruthTable pprm_spectrum() const;
 
@@ -79,6 +92,9 @@ public:
   std::string to_binary_string() const;
 
   const BitVec& raw() const { return bits_; }
+  /// Word-level writers fill the table here; bits at and above size() must
+  /// stay zero.
+  BitVec& raw() { return bits_; }
 
 private:
   int nvars_ = 0;

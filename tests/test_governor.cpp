@@ -350,6 +350,28 @@ TEST(GovernedSynth, StepBudgetSweepCoversTheLadder) {
   EXPECT_GT(descents.size(), 1u); // at least one run actually descended
 }
 
+// A step budget that trips inside the polarity search of a wide-support
+// circuit (my_adder's BDD spectra) leaves a polarity the flow can use: the
+// run degrades, and every returned network is equivalent to the spec.
+TEST(GovernedSynth, StepLimitInWideSupportSearchDegradesButStaysCorrect) {
+  const Benchmark bench = make_benchmark("my_adder");
+  bool search_tripped = false;
+  for (const uint64_t budget : {10000u, 100000u, 1000000u}) {
+    SynthOptions opt;
+    ResourceLimits lim;
+    lim.step_limit = budget;
+    ResourceGovernor gov(lim);
+    opt.governor = &gov;
+    SynthReport rep;
+    const Network out = synthesize(bench.spec, opt, &rep);
+    EXPECT_FALSE(rep.status.is_ok()) << budget;
+    if (rep.status.is_degraded() && rep.status.stage == "polarity-search")
+      search_tripped = true;
+    expect_equivalent(bench.spec, out);
+  }
+  EXPECT_TRUE(search_tripped);
+}
+
 // --- end-to-end: the baseline script -----------------------------------------
 
 TEST(GovernedBaseline, StageFaultDegradesButPrefixStaysEquivalent) {

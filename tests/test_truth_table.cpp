@@ -97,7 +97,45 @@ TEST_P(TTRandom, SpectrumEvaluatesBackToFunction) {
   }
 }
 
+TEST_P(TTRandom, RmFlipFoldsTheOneCofactorIntoTheZeroCofactor) {
+  const int n = GetParam();
+  Rng rng(static_cast<uint64_t>(n) * 53 + 3);
+  TruthTable f(n);
+  for (uint64_t m = 0; m < f.size(); ++m)
+    if (rng.flip()) f.set(m);
+  for (int v = 0; v < n; ++v) {
+    TruthTable g = f;
+    g.rm_flip(v);
+    EXPECT_EQ(g.cofactor(v, true), f.cofactor(v, true)) << "variable " << v;
+    EXPECT_EQ(g.cofactor(v, false), f.cofactor(v, false) ^ f.cofactor(v, true))
+        << "variable " << v;
+    g.rm_flip(v);
+    EXPECT_EQ(g, f) << "variable " << v; // an involution
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, TTRandom, ::testing::Values(1, 2, 3, 4, 5, 6, 8));
+
+TEST(TruthTable, BddSizeOfKnownFunctions) {
+  for (const int n : {1, 3, 6, 7, 9}) {
+    EXPECT_EQ(TruthTable::constant(n, false).bdd_size(), 0u);
+    EXPECT_EQ(TruthTable::constant(n, true).bdd_size(), 0u);
+    EXPECT_EQ(TruthTable::variable(n, 0).bdd_size(), 1u);
+    EXPECT_EQ((~TruthTable::variable(n, n - 1)).bdd_size(), 1u);
+    TruthTable parity = TruthTable::constant(n, false);
+    TruthTable conj = TruthTable::constant(n, true);
+    for (int v = 0; v < n; ++v) {
+      parity = parity ^ TruthTable::variable(n, v);
+      conj = conj & TruthTable::variable(n, v);
+    }
+    // Complement edges: parity and its complement share one node per level.
+    EXPECT_EQ(parity.bdd_size(), static_cast<std::size_t>(n)) << n;
+    EXPECT_EQ(conj.bdd_size(), static_cast<std::size_t>(n)) << n;
+  }
+  // x2 ? x0 : x1 with x2 on top: one node per variable.
+  const auto x = [](int i) { return TruthTable::variable(3, i); };
+  EXPECT_EQ(((x(2) & x(0)) | (~x(2) & x(1))).bdd_size(), 3u);
+}
 
 TruthTable table_from_bits(int nvars, uint64_t bits) {
   TruthTable f(nvars);
